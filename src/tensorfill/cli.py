@@ -68,6 +68,12 @@ from .solvers import (
 
 CSV_HEADER = "method,dims,pattern,rate,gamma,seed,mape,rmse,iters"
 MANIFEST_VERSION = 1
+# Keys of a manifest and of the records inside it that eval and rerun read.
+MANIFEST_KEYS = ("method", "config", "inputs", "outputs", "iterations", "eval",
+                 "csv_row")
+FILE_KEYS = ("role", "path", "sha256")
+EVAL_KEYS = ("truth", "mask", "on_observed", "pattern", "rate", "gamma", "seed")
+CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SolverConfig))
 
 
 def _parse_dims(text):
@@ -151,7 +157,18 @@ def _write_json(path, payload):
     atomic_write_bytes(path, data)
 
 
+def _require(record, keys, where):
+    """Raise InputError unless ``record`` is a JSON object holding ``keys``."""
+    if not isinstance(record, dict):
+        raise InputError(f"{where} is not a JSON object")
+    missing = [k for k in keys if k not in record]
+    if missing:
+        raise InputError(f"{where} lacks {', '.join(missing)}")
+
+
 def _load_manifest(path):
+    """Read a run manifest and check its schema, so that eval and rerun can
+    index it freely."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -159,8 +176,28 @@ def _load_manifest(path):
         raise InputError(f"cannot read manifest {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"manifest {path} is not valid JSON: {exc}")
-    if manifest.get("manifest_version") != MANIFEST_VERSION:
-        raise InputError(f"manifest {path} has unsupported version")
+    where = f"manifest {path}"
+    _require(manifest, ("manifest_version",), where)
+    if manifest["manifest_version"] != MANIFEST_VERSION:
+        raise InputError(f"{where} has unsupported version")
+    _require(manifest, MANIFEST_KEYS, where)
+    config = manifest["config"]
+    _require(config, ("method",), f"{where}: config")
+    unknown = sorted(set(config) - CONFIG_FIELDS)
+    if unknown:
+        raise InputError(f"{where}: unknown config keys {', '.join(unknown)}")
+    for key in ("inputs", "outputs"):
+        if not isinstance(manifest[key], list):
+            raise InputError(f"{where}: {key} is not a list")
+        for entry in manifest[key]:
+            _require(entry, FILE_KEYS, f"{where}: {key} entry")
+    roles = {entry["role"] for entry in manifest["inputs"]}
+    if not {"tensor", "mask"} <= roles:
+        raise InputError(f"{where}: inputs need a tensor and a mask entry")
+    if manifest["eval"] is not None:
+        _require(manifest["eval"], EVAL_KEYS, f"{where}: eval")
+        for key in ("truth", "mask"):
+            _require(manifest["eval"][key], FILE_KEYS, f"{where}: eval {key}")
     return manifest
 
 
@@ -335,8 +372,12 @@ def cmd_rerun(args):
         _verify_entry(entry)
 
     cfg_dict = dict(manifest["config"])
-    cfg_dict["alpha"] = tuple(cfg_dict["alpha"])
-    cfg = SolverConfig(**cfg_dict)
+    try:
+        if "alpha" in cfg_dict:
+            cfg_dict["alpha"] = tuple(cfg_dict["alpha"])
+        cfg = SolverConfig(**cfg_dict)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"manifest {args.manifest}: bad config value: {exc}")
     paths = {e["role"]: e["path"] for e in manifest["inputs"]}
     tensor = read_tensor(paths["tensor"])
     mask = read_mask(paths["mask"])

@@ -26,20 +26,26 @@ _HEADER = struct.Struct("<4s3Q")
 
 
 def atomic_write_bytes(path, payload):
-    """Write ``payload`` to ``path`` via a temp file in the same directory."""
+    """Write ``payload`` to ``path`` via a temp file in the same directory.
+
+    Raises InputError when the file cannot be written, for example because
+    its directory does not exist; no temp file is left behind.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tensorfill-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tensorfill-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _read_header(raw, magic, path):

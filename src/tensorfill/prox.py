@@ -138,7 +138,8 @@ def apply_shrinkage(z, spec, sigma_prev=None):
     tall = a.shape[0] > a.shape[1]
     if tall:
         a = a.T
-    peak = np.max(np.abs(a))
+    # max|a| without a full-size |a| temporary; NaN propagates through both
+    peak = np.maximum(a.max(), -a.min())
     if not np.isfinite(peak):
         raise NumericError("shrinkage input contains non-finite values")
     exponent = int(np.frexp(peak)[1])

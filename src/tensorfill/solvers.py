@@ -9,16 +9,27 @@ parameter rho and mode weights alpha_k:
    (``tnn``).  Each shrink works from the eigendecomposition of the Gram
    matrix of the unfolding's smaller side (:func:`prox.apply_shrinkage`),
    not a full SVD.  The three modes are independent and may run in parallel.
-2. ``L <- sum_k alpha_k L_k`` (the recovered output).
-3. ``M <- mean_k(L_k [+ E_k] + T_k/rho)``, then observed entries are reset
+2. ``M <- mean_k(L_k [+ E_k] + T_k/rho)``, then observed entries are reset
    to the data: ``P_omega(M) = P_omega(Y)`` holds after every iteration.
-4. robust only: ``E_k <- soft_threshold(M - L_k - T_k/rho, lambda/rho)``
+3. robust only: ``E_k <- soft_threshold(M - L_k - T_k/rho, lambda/rho)``
    with the iteration-start multipliers.
-5. ``T_k <- T_k + rho (L_k [+ E_k] - M)``.
+4. ``T_k <- T_k + rho (L_k [+ E_k] - M)``.
 
 Iteration stops when the relative change of the objective (the method's own
 regularizer value, plus ``lambda * sum_k ||E_k||_1`` for the robust solver)
-drops below ``tol``, or at ``max_iters``.
+drops below ``tol``, or at ``max_iters``.  The recovered output
+``L = sum_k alpha_k L_k`` is formed once, after the last iteration.
+
+The loop keeps ``L_k``, ``T_k`` and ``E_k`` as one ``(3, n1, n2, n3)``
+array each and updates them in place: each shrinkage input is built in a
+reused scratch tensor (one per mode when the modes run in a thread pool),
+each folded kernel output is copied into its contiguous slot, and the
+consensus, constraint and multiplier steps write into preallocated
+tensors.  The arithmetic and its order are those of a loop that allocates
+a fresh array for every intermediate (``z = (M - T_k/rho) - E_k``, the sums
+``(X_0 + X_1) + X_2``, the constraint as the two products and the sum of
+:func:`tensor.apply_constraint`), so seeded solves are bit-identical to
+that loop, which ``tests/test_solvers.py`` keeps as the reference.
 """
 
 import math
@@ -35,7 +46,9 @@ from .prox import (
     soft_threshold,
     svd,
 )
-from .tensor import apply_constraint, check_mask, check_tensor, fold, unfold
+# apply_constraint is no longer called by the loop; it stays importable here
+# because perfbench wraps the layer functions under their solvers names.
+from .tensor import apply_constraint, check_mask, check_tensor, fold, unfold  # noqa: F401
 
 METHODS = ("tcpfnc", "rtcpfnc", "halrtc", "tnn")
 
@@ -216,24 +229,32 @@ def _run(y, mask, cfg, iter_hook=None):
     specs = mode_shrinkage_specs(cfg, dims)
 
     y_obs = y * mask
+    hidden = 1.0 - mask
     m = y_obs.copy()
-    lk = [np.zeros(dims) for _ in range(3)]
-    tk = [np.zeros(dims) for _ in range(3)]
-    ek = [np.zeros(dims) for _ in range(3)] if robust else None
+    m_pre = np.empty(dims)
+    lk = np.zeros((3,) + dims)
+    tk = np.zeros((3,) + dims)
+    ek = np.zeros((3,) + dims) if robust else None
     sigma_prev = [None, None, None]
     history = []
-    recovered = y_obs.copy()
     converged = False
     iterations = 0
 
-    def update_mode(k):
-        z = m - tk[k] / rho
-        if robust:
-            z = z - ek[k]
-        mat, sig = apply_shrinkage(unfold(z, k), specs[k], sigma_prev[k])
-        return fold(mat, k, dims), sig
-
     pool = ThreadPoolExecutor(max_workers=3) if cfg.threads > 1 else None
+    # Pooled mode updates run at once, so each gets its own scratch tensor.
+    scratch = [np.empty(dims) for _ in range(3 if pool else 1)]
+    buf = scratch[0]
+
+    def update_mode(k):
+        z = scratch[k] if pool else buf
+        np.divide(tk[k], rho, out=z)
+        np.subtract(m, z, out=z)
+        if robust:
+            np.subtract(z, ek[k], out=z)
+        mat, sig = apply_shrinkage(unfold(z, k), specs[k], sigma_prev[k])
+        lk[k] = fold(mat, k, dims)
+        return sig
+
     # Overflow is caught by the per-iteration finite check; silence the
     # interim numpy warnings so the error surfaces once, with context.
     stack = np.errstate(over="ignore", invalid="ignore")
@@ -241,39 +262,47 @@ def _run(y, mask, cfg, iter_hook=None):
     try:
         for it in range(1, cfg.max_iters + 1):
             if pool is not None:
-                updated = list(pool.map(update_mode, range(3)))
+                sigmas = tuple(pool.map(update_mode, range(3)))
             else:
-                updated = [update_mode(k) for k in range(3)]
-            lk = [u[0] for u in updated]
-            sigmas = tuple(u[1] for u in updated)
+                sigmas = tuple(update_mode(k) for k in range(3))
             sigma_prev = list(sigmas)
 
-            recovered = (
-                cfg.alpha[0] * lk[0]
-                + cfg.alpha[1] * lk[1]
-                + cfg.alpha[2] * lk[2]
-            )
-            m_pre = (lk[0] + lk[1] + lk[2]) / 3.0
+            np.add(lk[0], lk[1], out=m_pre)
+            m_pre += lk[2]
+            m_pre /= 3.0
             if robust:
-                m_pre = m_pre + (ek[0] + ek[1] + ek[2]) / 3.0
-            m_pre = m_pre + (tk[0] + tk[1] + tk[2]) / (3.0 * rho)
-            m = apply_constraint(m_pre, y_obs, mask)
+                np.add(ek[0], ek[1], out=buf)
+                buf += ek[2]
+                buf /= 3.0
+                m_pre += buf
+            np.add(tk[0], tk[1], out=buf)
+            buf += tk[2]
+            buf /= 3.0 * rho
+            m_pre += buf
+            # the products and the sum of apply_constraint(m_pre, y, mask)
+            np.multiply(m_pre, hidden, out=m)
+            m += y_obs
 
             if robust:
-                ek = [
-                    soft_threshold(m - lk[k] - tk[k] / rho, lam / rho)
-                    for k in range(3)
-                ]
+                for k in range(3):
+                    # ek[k] is free here: the consensus has read it
+                    np.subtract(m, lk[k], out=buf)
+                    np.divide(tk[k], rho, out=ek[k])
+                    buf -= ek[k]
+                    ek[k] = soft_threshold(buf, lam / rho)
 
             for k in range(3):
-                residual = lk[k] - m
+                np.subtract(lk[k], m, out=buf)
                 if robust:
-                    residual = residual + ek[k]
-                tk[k] = tk[k] + rho * residual
+                    buf += ek[k]
+                buf *= rho
+                tk[k] += buf
 
             obj = _penalty_from_spectra(cfg, sigmas, specs)
             if robust:
-                obj += lam * sum(float(np.sum(np.abs(e))) for e in ek)
+                obj += lam * sum(
+                    float(np.sum(np.abs(e, out=buf))) for e in ek
+                )
             if not np.isfinite(obj) or not np.all(np.isfinite(m)):
                 raise NumericError(
                     f"{cfg.method}: non-finite values at iteration {it}"
@@ -303,6 +332,9 @@ def _run(y, mask, cfg, iter_hook=None):
         if pool is not None:
             pool.shutdown()
 
+    recovered = (
+        cfg.alpha[0] * lk[0] + cfg.alpha[1] * lk[1] + cfg.alpha[2] * lk[2]
+    )
     anomaly = (ek[0] + ek[1] + ek[2]) / 3.0 if robust else None
     return SolverResult(
         recovered=recovered,

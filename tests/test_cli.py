@@ -29,6 +29,13 @@ def test_synth_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_synth_into_missing_directory_is_input_error(tmp_path, capsys):
+    out = tmp_path / "nodir" / "t.tns"
+    assert run("synth", "--dims", "4,4,4", "--rank", "1", "-o", out) == 3
+    assert "cannot write" in capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_synth_invalid_rank_is_usage_error(tmp_path):
     assert run("synth", "--dims", "4,4,4", "--rank", "99", "-o", tmp_path / "x.tns") == 2
 
@@ -268,3 +275,35 @@ def test_rerun_detects_recorded_row_drift(tmp_path, capsys):
 def test_rerun_missing_manifest_is_input_error(tmp_path):
     assert run("rerun", "--manifest", tmp_path / "no.json",
                "--workdir", tmp_path / "w") == 3
+
+
+def _rerun_edited(tmp_path, edit):
+    man = _recorded_run(tmp_path)
+    manifest = json.loads(man.read_text())
+    edit(manifest)
+    man.write_text(json.dumps(manifest))
+    return run("rerun", "--manifest", man, "--workdir", tmp_path / "replay")
+
+
+def test_rerun_unknown_config_key_is_input_error(tmp_path, capsys):
+    def edit(manifest):
+        manifest["config"]["momentum"] = 0.9
+
+    assert _rerun_edited(tmp_path, edit) == 3
+    assert "unknown config keys momentum" in capsys.readouterr().err
+
+
+def test_rerun_manifest_without_inputs_is_input_error(tmp_path, capsys):
+    def edit(manifest):
+        del manifest["inputs"]
+
+    assert _rerun_edited(tmp_path, edit) == 3
+    assert "lacks inputs" in capsys.readouterr().err
+
+
+def test_rerun_mistyped_config_value_is_input_error(tmp_path, capsys):
+    def edit(manifest):
+        manifest["config"]["rho"] = "fast"
+
+    assert _rerun_edited(tmp_path, edit) == 3
+    assert "bad config value" in capsys.readouterr().err

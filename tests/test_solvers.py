@@ -1,23 +1,28 @@
 """Solver tests: ADMM mechanics via iteration hooks, degeneracies, errors."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from tensorfill import solvers
 from tensorfill.datagen import SyntheticSpec, rm_mask, synthesize
 from tensorfill.errors import InputError, NumericError, UsageError
 from tensorfill.metrics import evaluate
-from tensorfill.prox import soft_threshold
+from tensorfill.prox import apply_shrinkage, soft_threshold
 from tensorfill.solvers import (
+    METHODS,
     SolverConfig,
     check_convergence,
     complete,
     default_lambda,
     halrtc,
     lrtc_tnn,
+    mode_shrinkage_specs,
     rtc_pfnc,
     tc_pfnc,
 )
-from tensorfill.tensor import project
+from tensorfill.tensor import apply_constraint, fold, project, unfold
 
 
 def _instance(seed, dims=(6, 6, 6), rank=2, missing=0.3):
@@ -268,3 +273,119 @@ def test_max_iters_cap_reported_as_not_converged():
     result = complete(y * mask, mask, SolverConfig("tcpfnc", rho=1e-3, max_iters=3, tol=1e-30))
     assert result.iterations == 3
     assert not result.converged
+
+
+def _reference_run(y, mask, cfg):
+    """Reference ADMM loop: the steps of the solvers module docstring with a
+    fresh array for every intermediate and one list entry per mode."""
+    dims = y.shape
+    robust = cfg.method == "rtcpfnc"
+    rho = cfg.rho
+    lam = cfg.lam if cfg.lam is not None else default_lambda(dims)
+    specs = mode_shrinkage_specs(cfg, dims)
+    y_obs = y * mask
+    m = y_obs.copy()
+    lk = [np.zeros(dims) for _ in range(3)]
+    tk = [np.zeros(dims) for _ in range(3)]
+    ek = [np.zeros(dims) for _ in range(3)] if robust else None
+    sigma_prev = [None, None, None]
+    history = []
+    converged = False
+    for it in range(1, cfg.max_iters + 1):
+        sigmas = []
+        for k in range(3):
+            z = m - tk[k] / rho
+            if robust:
+                z = z - ek[k]
+            mat, sig = apply_shrinkage(unfold(z, k), specs[k], sigma_prev[k])
+            lk[k] = fold(mat, k, dims)
+            sigmas.append(sig)
+        sigma_prev = sigmas
+        recovered = cfg.alpha[0] * lk[0] + cfg.alpha[1] * lk[1] + cfg.alpha[2] * lk[2]
+        m_pre = (lk[0] + lk[1] + lk[2]) / 3.0
+        if robust:
+            m_pre = m_pre + (ek[0] + ek[1] + ek[2]) / 3.0
+        m_pre = m_pre + (tk[0] + tk[1] + tk[2]) / (3.0 * rho)
+        m = apply_constraint(m_pre, y_obs, mask)
+        if robust:
+            ek = [soft_threshold(m - lk[k] - tk[k] / rho, lam / rho) for k in range(3)]
+        for k in range(3):
+            residual = lk[k] - m
+            if robust:
+                residual = residual + ek[k]
+            tk[k] = tk[k] + rho * residual
+        obj = 0.0
+        for k, s in enumerate(sigmas):
+            if cfg.method in ("tcpfnc", "rtcpfnc"):
+                obj += cfg.alpha[k] * float(np.sum(np.log(s + cfg.epsilon)))
+            elif cfg.method == "halrtc":
+                obj += cfg.alpha[k] * float(np.sum(s))
+            else:
+                obj += cfg.alpha[k] * float(np.sum(s[specs[k].truncation_r:]))
+        if robust:
+            obj += lam * sum(float(np.sum(np.abs(e))) for e in ek)
+        history.append(obj)
+        if check_convergence(history, cfg.tol):
+            converged = True
+            break
+    anomaly = (ek[0] + ek[1] + ek[2]) / 3.0 if robust else None
+    return recovered, anomaly, it, converged, tuple(history)
+
+
+def _outlier_instance(seed, dims):
+    """Low-rank instance with a few large outliers on observed entries."""
+    y, mask = _instance(seed, dims=dims)
+    rng = np.random.default_rng(seed + 2000)
+    observed = np.flatnonzero(mask)
+    hit = rng.choice(observed, size=max(1, observed.size // 20), replace=False)
+    y.flat[hit] += rng.choice([-40.0, 40.0], size=hit.size)
+    return y, mask
+
+
+def _assert_matches_reference(y, mask, cfg):
+    result = complete(y * mask, mask, cfg)
+    recovered, anomaly, iters, converged, history = _reference_run(
+        y * mask, mask, cfg)
+    np.testing.assert_array_equal(result.recovered, recovered)
+    if anomaly is None:
+        assert result.anomaly is None
+    else:
+        np.testing.assert_array_equal(result.anomaly, anomaly)
+    assert result.objective_history == history
+    assert result.iterations == iters
+    assert result.converged == converged
+    return result
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("dims", [(9, 8, 7), (20, 3, 2)])  # mode 0 of 20x6 is tall
+def test_in_place_loop_is_bit_identical_to_reference(method, dims):
+    y, mask = _outlier_instance(19, dims)
+    cfg = SolverConfig(method, rho=1e-3, lam=1e-2, truncation_rate=0.3,
+                       tol=1e-30, max_iters=25)
+    _assert_matches_reference(y, mask, cfg)
+
+
+def test_in_place_loop_matches_reference_when_stopping_on_tol():
+    y, mask = _instance(20, dims=(9, 8, 7))
+    cfg = SolverConfig("halrtc", rho=1e-3, tol=1e-6, max_iters=2000)
+    result = _assert_matches_reference(y, mask, cfg)
+    assert result.converged and result.iterations < cfg.max_iters
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_pooled_mode_updates_match_reference(method, monkeypatch):
+    """With threads=3 every mode builds its shrinkage input before any mode
+    reads one, so a scratch buffer shared between modes would show."""
+    barrier = threading.Barrier(3, timeout=30)
+    real_unfold = solvers.unfold
+
+    def unfold_after_all_modes(x, mode):
+        barrier.wait()
+        return real_unfold(x, mode)
+
+    monkeypatch.setattr(solvers, "unfold", unfold_after_all_modes)
+    y, mask = _outlier_instance(21, (9, 8, 7))
+    cfg = SolverConfig(method, rho=1e-3, lam=1e-2, truncation_rate=0.3,
+                       tol=1e-30, max_iters=10, threads=3)
+    _assert_matches_reference(y, mask, cfg)
