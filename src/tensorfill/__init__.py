@@ -13,31 +13,24 @@ from .io import ingest_csv, read_mask, read_tensor, write_mask, write_tensor
 from .metrics import EvalReport, anomaly_score, evaluate
 from .prox import (
     DEFAULT_EPSILON,
-    ShrinkageSpec,
+    LogRule,
     SvdFactors,
+    TruncatedRule,
     apply_shrinkage,
-    log_surrogate,
     log_weights,
-    plain_svt,
     soft_threshold,
     svd,
-    truncated_svt,
-    weighted_svt,
 )
 from .solvers import (
     METHODS,
+    RULES,
     SolverConfig,
     SolverResult,
     SolverState,
     check_convergence,
     complete,
     default_lambda,
-    halrtc,
-    lrtc_tnn,
-    objective,
-    rtc_pfnc,
-    tc_pfnc,
 )
-from .tensor import apply_constraint, fold, frobenius, project, unfold
+from .tensor import apply_constraint, fold, unfold
 
 __version__ = "0.1.0"

@@ -22,7 +22,8 @@ rerun
 
 Exit codes: 0 success, 2 usage error, 3 input/format error, 4 numeric
 error.  A failed rerun comparison exits 1.  The ``--threads`` flag of
-``complete`` defaults to the ``TENSORFILL_THREADS`` environment variable.
+``complete`` defaults to the ``TENSORFILL_THREADS`` environment variable;
+a value of it that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -68,11 +69,15 @@ from .solvers import (
 
 CSV_HEADER = "method,dims,pattern,rate,gamma,seed,mape,rmse,iters"
 MANIFEST_VERSION = 1
-# Keys of a manifest and of the records inside it that eval and rerun read.
-MANIFEST_KEYS = ("method", "config", "inputs", "outputs", "iterations", "eval",
-                 "csv_row")
-FILE_KEYS = ("role", "path", "sha256")
-EVAL_KEYS = ("truth", "mask", "on_observed", "pattern", "rate", "gamma", "seed")
+# Keys of a manifest and of the records inside it that eval and rerun read,
+# with the JSON types their values must have.
+NUMBER = (int, float)
+MANIFEST_KEYS = {"method": str, "config": dict, "inputs": list, "outputs": list,
+                 "iterations": int, "eval": (dict, type(None)),
+                 "csv_row": (str, type(None))}
+FILE_KEYS = {"role": str, "path": str, "sha256": str}
+EVAL_KEYS = {"truth": dict, "mask": dict, "on_observed": bool, "pattern": str,
+             "rate": NUMBER, "gamma": NUMBER, "seed": int}
 CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SolverConfig))
 
 
@@ -158,12 +163,16 @@ def _write_json(path, payload):
 
 
 def _require(record, keys, where):
-    """Raise InputError unless ``record`` is a JSON object holding ``keys``."""
+    """Raise InputError unless ``record`` is a JSON object holding ``keys``,
+    a mapping of each key to the type (or types) of its value."""
     if not isinstance(record, dict):
         raise InputError(f"{where} is not a JSON object")
     missing = [k for k in keys if k not in record]
     if missing:
         raise InputError(f"{where} lacks {', '.join(missing)}")
+    mistyped = [k for k, kind in keys.items() if not isinstance(record[k], kind)]
+    if mistyped:
+        raise InputError(f"{where}: {', '.join(mistyped)} of the wrong type")
 
 
 def _load_manifest(path):
@@ -174,21 +183,20 @@ def _load_manifest(path):
             manifest = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read manifest {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"manifest {path} is not valid JSON: {exc}")
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bytes that are not UTF-8 as well as bad JSON
+        raise InputError(f"manifest {path} is not valid UTF-8 JSON: {exc}")
     where = f"manifest {path}"
-    _require(manifest, ("manifest_version",), where)
+    _require(manifest, {"manifest_version": int}, where)
     if manifest["manifest_version"] != MANIFEST_VERSION:
         raise InputError(f"{where} has unsupported version")
     _require(manifest, MANIFEST_KEYS, where)
     config = manifest["config"]
-    _require(config, ("method",), f"{where}: config")
+    _require(config, {"method": str}, f"{where}: config")
     unknown = sorted(set(config) - CONFIG_FIELDS)
     if unknown:
         raise InputError(f"{where}: unknown config keys {', '.join(unknown)}")
     for key in ("inputs", "outputs"):
-        if not isinstance(manifest[key], list):
-            raise InputError(f"{where}: {key} is not a list")
         for entry in manifest[key]:
             _require(entry, FILE_KEYS, f"{where}: {key} entry")
     roles = {entry["role"] for entry in manifest["inputs"]}
@@ -202,6 +210,13 @@ def _load_manifest(path):
 
 
 def _solver_config(args, lam):
+    threads = args.threads
+    if threads is None:
+        text = os.environ.get("TENSORFILL_THREADS", "1")
+        try:
+            threads = int(text)
+        except ValueError:
+            raise UsageError(f"TENSORFILL_THREADS must be an integer, got {text!r}")
     return SolverConfig(
         method=args.method,
         alpha=_parse_alpha(args.alpha),
@@ -210,7 +225,7 @@ def _solver_config(args, lam):
         tol=args.tol,
         max_iters=args.max_iters,
         truncation_rate=args.trunc_rate,
-        threads=args.threads,
+        threads=threads,
     )
 
 
@@ -384,7 +399,10 @@ def cmd_rerun(args):
     result = complete(tensor, mask, cfg)
 
     workdir = args.workdir
-    os.makedirs(workdir, exist_ok=True)
+    try:
+        os.makedirs(workdir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create {workdir}: {exc}")
     for entry in manifest["outputs"]:
         out_path = os.path.join(workdir, os.path.basename(entry["path"]))
         data = result.recovered if entry["role"] == "recovered" else result.anomaly
@@ -470,8 +488,7 @@ def build_parser():
                    help="truncation rate for the tnn method")
     p.add_argument("--alpha", default="0.3333333333333333,0.3333333333333333,0.3333333333333334",
                    help="mode weights a1,a2,a3 summing to 1")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("TENSORFILL_THREADS", "1")),
+    p.add_argument("--threads", type=int, default=None,
                    help="per-mode worker threads (default TENSORFILL_THREADS or 1)")
     p.add_argument("-o", "--out", required=True, help="recovered TNS1 path")
     p.add_argument("--anomaly-out", default=None,

@@ -121,19 +121,21 @@ def ingest_csv(path, dims):
 
     Column j (0-based) of row i1 maps to entry (i1, j % n2, j // n2), so the
     mode-0 unfolding of the result equals the CSV grid.  Blank cells become
-    unobserved: mask 0 and value 0.  Raises InputError on ragged rows or
-    non-numeric cells, reporting the 1-based row and column.
+    unobserved: mask 0 and value 0.  Raises InputError on a file that is not
+    UTF-8 CSV, on a row count or row width that does not match ``dims``
+    (both checked before the tensor is allocated), and on non-numeric
+    cells, reporting the 1-based row and column.
     """
     n1, n2, n3 = dims
     ncols = n2 * n3
-    values = np.zeros((n1, ncols))
-    flags = np.ones((n1, ncols))
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if r]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path} is not a UTF-8 CSV file: {exc}") from exc
+    # check the shape against the rows read before allocating it
     if len(rows) != n1:
         raise InputError(f"{path}: expected {n1} rows, found {len(rows)}")
     for i, row in enumerate(rows):
@@ -141,6 +143,9 @@ def ingest_csv(path, dims):
             raise InputError(
                 f"{path}: row {i + 1} has {len(row)} columns, expected {ncols}"
             )
+    values = np.zeros((n1, ncols))
+    flags = np.ones((n1, ncols))
+    for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             text = cell.strip()
             if text == "":

@@ -1,21 +1,25 @@
 """Matrix proximal operators built on singular value shrinkage.
 
-Three shrinkage rules share one spectral kernel, :func:`apply_shrinkage`,
+A shrinkage rule is one rank surrogate with its two parts:
+``thresholds(sigma, sigma_prev)``, the per-singular-value thresholds of
+its proximal step, and ``penalty(sigma)``, the surrogate's value at a
+spectrum.  There are two rules:
+
+* :class:`LogRule`: the log-determinant surrogate
+  sum(log(sigma_i + epsilon)), thresholded by tau * 1/(sigma_prev + epsilon).
+  Larger singular values receive smaller thresholds, so dominant structure
+  is preserved while small (noise) values are shrunk hard.
+* :class:`TruncatedRule`: the truncated nuclear norm sum_{i >= r} sigma_i.
+  The largest ``r`` values pass through unshrunk and the rest get the
+  uniform threshold tau; with ``r = 0`` it is the plain nuclear norm and its
+  prox, plain singular value thresholding.
+
+``solvers.RULES`` is the one table that maps a completion method to its
+rule.  Every rule goes through one spectral kernel, :func:`apply_shrinkage`,
 which takes the eigendecomposition of the Gram matrix of the input's
-smaller side instead of a full SVD.  The rules differ only in how the
-per-singular-value thresholds are formed:
-
-* ``log_weighted``: thresholds tau * 1/(sigma_prev + epsilon), the proximal
-  step of the log-determinant surrogate sum(log(sigma_i + epsilon)).  Larger
-  singular values receive smaller thresholds, so dominant structure is
-  preserved while small (noise) values are shrunk hard.
-* ``plain``: uniform threshold tau, the nuclear-norm prox.
-* ``truncated``: the largest ``truncation_r`` values pass through unshrunk,
-  the remainder get the uniform threshold.
-
-An elementwise soft threshold (the l1 prox) and the log-surrogate objective
-evaluator round out the module.  The exact thin SVD, :func:`svd`, serves
-the objective evaluators.
+smaller side instead of a full SVD.  An elementwise soft threshold (the l1
+prox) rounds out the module.  The exact thin SVD, :func:`svd`, is the
+reference the kernel is tested against.
 """
 
 from dataclasses import dataclass
@@ -26,8 +30,6 @@ from .errors import NumericError, UsageError
 
 DEFAULT_EPSILON = 1e-6
 
-SHRINKAGE_KINDS = ("log_weighted", "plain", "truncated")
-
 
 @dataclass(frozen=True)
 class SvdFactors:
@@ -36,33 +38,6 @@ class SvdFactors:
     u: np.ndarray
     sigma: np.ndarray
     vt: np.ndarray
-
-
-@dataclass(frozen=True)
-class ShrinkageSpec:
-    """Which shrinkage rule to apply to an unfolded matrix.
-
-    tau is the threshold scale (alpha_k / rho in the solvers), epsilon the
-    positivity constant of the log surrogate, truncation_r the number of
-    leading singular values exempt from shrinkage (truncated kind only).
-    """
-
-    kind: str
-    tau: float
-    epsilon: float = DEFAULT_EPSILON
-    truncation_r: int = 0
-
-    def __post_init__(self):
-        if self.kind not in SHRINKAGE_KINDS:
-            raise UsageError(f"unknown shrinkage kind {self.kind!r}")
-        if self.tau < 0:
-            raise UsageError(f"tau must be >= 0, got {self.tau}")
-        if self.epsilon <= 0:
-            raise UsageError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.truncation_r < 0:
-            raise UsageError(
-                f"truncation_r must be >= 0, got {self.truncation_r}"
-            )
 
 
 def svd(m):
@@ -85,39 +60,78 @@ def log_weights(sigma_prev, epsilon):
     return 1.0 / (np.asarray(sigma_prev, dtype=np.float64) + epsilon)
 
 
-def shrinkage_thresholds(spec, sigma, sigma_prev=None):
-    """Per-singular-value threshold vector for ``spec`` given current sigma.
+@dataclass(frozen=True)
+class LogRule:
+    """Log-determinant surrogate with threshold scale ``tau`` (alpha_k / rho
+    in the solvers) and positivity constant ``epsilon``."""
 
-    For the log_weighted kind the weights come from ``sigma_prev`` when
-    available (the previous iterate's spectrum) and from ``sigma`` itself on
-    a cold start.
-    """
-    n = len(sigma)
-    if spec.kind == "plain":
-        return np.full(n, spec.tau)
-    if spec.kind == "truncated":
-        if spec.truncation_r >= n:
+    tau: float
+    epsilon: float = DEFAULT_EPSILON
+
+    def __post_init__(self):
+        if not self.tau >= 0:
+            raise UsageError(f"tau must be >= 0, got {self.tau}")
+        if not self.epsilon > 0:
+            raise UsageError(f"epsilon must be > 0, got {self.epsilon}")
+
+    def thresholds(self, sigma, sigma_prev=None):
+        """tau / (base + epsilon), with base the previous iterate's spectrum
+        ``sigma_prev``, or ``sigma`` itself on a cold start."""
+        base = sigma if sigma_prev is None else np.asarray(sigma_prev)
+        if len(base) != len(sigma):
             raise UsageError(
-                f"truncation_r={spec.truncation_r} must be < {n} "
-                "(the number of singular values)"
+                f"sigma_prev length {len(base)} does not match spectrum "
+                f"size {len(sigma)}"
             )
-        t = np.full(n, spec.tau)
-        t[: spec.truncation_r] = 0.0
+        return self.tau * log_weights(base, self.epsilon)
+
+    def penalty(self, sigma):
+        """sum_i log(sigma_i + epsilon)."""
+        return float(np.sum(np.log(sigma + self.epsilon)))
+
+
+@dataclass(frozen=True)
+class TruncatedRule:
+    """Truncated nuclear norm with threshold ``tau``; the ``r`` largest
+    singular values are exempt, and ``r = 0`` is the nuclear norm."""
+
+    tau: float
+    r: int = 0
+
+    def __post_init__(self):
+        if not self.tau >= 0:
+            raise UsageError(f"tau must be >= 0, got {self.tau}")
+        if self.r < 0:
+            raise UsageError(f"r must be >= 0, got {self.r}")
+
+    def thresholds(self, sigma, sigma_prev=None):
+        """0 on the first ``r`` values and tau on the rest; requires
+        r < len(sigma)."""
+        n = len(sigma)
+        if self.r >= n:
+            raise UsageError(
+                f"r={self.r} must be < {n} (the number of singular values)"
+            )
+        t = np.full(n, self.tau)
+        t[: self.r] = 0.0
         return t
-    base = sigma if sigma_prev is None else np.asarray(sigma_prev)
-    if len(base) != n:
-        raise UsageError(
-            f"sigma_prev length {len(base)} does not match spectrum size {n}"
-        )
-    return spec.tau * log_weights(base, spec.epsilon)
+
+    def penalty(self, sigma):
+        """sum_{i >= r} sigma_i."""
+        return float(np.sum(sigma[self.r:]))
 
 
-def apply_shrinkage(z, spec, sigma_prev=None):
-    """Shrink the singular values of ``z`` per ``spec``.
+def shrinkage_thresholds(rule, sigma, sigma_prev=None):
+    """Per-singular-value threshold vector of ``rule`` at spectrum ``sigma``."""
+    return rule.thresholds(sigma, sigma_prev)
+
+
+def apply_shrinkage(z, rule, sigma_prev=None):
+    """Shrink the singular values of ``z`` by the thresholds of ``rule``.
 
     Returns (matrix, shrunk_sigma) where shrunk_sigma holds the output's
-    singular values max(sigma_i - threshold_i, 0), still descending for all
-    three kinds.
+    singular values max(sigma_i - threshold_i, 0), still descending for
+    both rules.
 
     With A the input or its transpose, whichever is wide, the kernel takes
     ``w, U = eigh(A A^T)`` and sigma = sqrt(max(w, 0)), so U holds the left
@@ -149,42 +163,12 @@ def apply_shrinkage(z, spec, sigma_prev=None):
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
     sigma = np.ldexp(np.sqrt(np.maximum(w[::-1], 0.0)), exponent)
-    thresholds = shrinkage_thresholds(spec, sigma, sigma_prev)
-    shrunk = np.maximum(sigma - thresholds, 0.0)
+    shrunk = np.maximum(sigma - rule.thresholds(sigma, sigma_prev), 0.0)
     # thresholds are >= 0, so sigma >= shrunk > 0 on every kept component
     keep = shrunk > 0.0
     u = u[:, ::-1][:, keep]
     out = (u * (shrunk[keep] / sigma[keep])) @ (u.T @ a)
     return (out.T if tall else out), shrunk
-
-
-def weighted_svt(z, tau, epsilon=DEFAULT_EPSILON, sigma_prev=None):
-    """Log-surrogate weighted singular value thresholding.
-
-    Computes U (Sigma - tau * diag(w))_+ V^T with w = 1/(sigma_prev + epsilon);
-    when sigma_prev is None the weights come from z's own spectrum.  Returns
-    (matrix, shrunk_sigma) like :func:`apply_shrinkage`.
-    """
-    spec = ShrinkageSpec(kind="log_weighted", tau=tau, epsilon=epsilon)
-    return apply_shrinkage(z, spec, sigma_prev)
-
-
-def plain_svt(z, tau):
-    """Uniform singular value thresholding U (Sigma - tau I)_+ V^T.
-
-    Returns (matrix, shrunk_sigma) like :func:`apply_shrinkage`.
-    """
-    return apply_shrinkage(z, ShrinkageSpec(kind="plain", tau=tau))
-
-
-def truncated_svt(z, tau, r):
-    """Thresholding that exempts the r largest singular values.
-
-    Values beyond rank r are shrunk by tau and floored at zero; requires
-    0 <= r < min(z.shape).  Returns (matrix, shrunk_sigma).
-    """
-    spec = ShrinkageSpec(kind="truncated", tau=tau, truncation_r=int(r))
-    return apply_shrinkage(z, spec)
 
 
 def soft_threshold(h, kappa):
@@ -193,10 +177,3 @@ def soft_threshold(h, kappa):
         raise UsageError(f"kappa must be >= 0, got {kappa}")
     h = np.asarray(h, dtype=np.float64)
     return np.sign(h) * np.maximum(np.abs(h) - kappa, 0.0)
-
-
-def log_surrogate(m, epsilon=DEFAULT_EPSILON):
-    """Surrogate rank measure sum_i log(sigma_i(m) + epsilon)."""
-    if epsilon <= 0:
-        raise UsageError(f"epsilon must be > 0, got {epsilon}")
-    return float(np.sum(np.log(svd(m).sigma + epsilon)))

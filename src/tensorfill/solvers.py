@@ -4,20 +4,24 @@ All four methods share one scaffolding.  Per iteration, with shared penalty
 parameter rho and mode weights alpha_k:
 
 1. ``L_k <- fold_k(shrink(unfold_k(M - [E_k] - T_k/rho)))`` for each mode k,
-   where the shrinkage rule is what distinguishes the methods: log-weighted
-   SVT (``tcpfnc``, ``rtcpfnc``), plain SVT (``halrtc``), or truncated SVT
-   (``tnn``).  Each shrink works from the eigendecomposition of the Gram
-   matrix of the unfolding's smaller side (:func:`prox.apply_shrinkage`),
-   not a full SVD.  The three modes are independent and may run in parallel.
+   where the shrinkage rule is what distinguishes the methods.  :data:`RULES`
+   is the one table that maps a method to its rule: the log rule
+   (``tcpfnc``, ``rtcpfnc``), the nuclear norm (``halrtc``) or the truncated
+   nuclear norm (``tnn``).  Each shrink works from the eigendecomposition of
+   the Gram matrix of the unfolding's smaller side
+   (:func:`prox.apply_shrinkage`), not a full SVD.  The three modes are
+   independent and may run in parallel.
 2. ``M <- mean_k(L_k [+ E_k] + T_k/rho)``, then observed entries are reset
    to the data: ``P_omega(M) = P_omega(Y)`` holds after every iteration.
 3. robust only: ``E_k <- soft_threshold(M - L_k - T_k/rho, lambda/rho)``
    with the iteration-start multipliers.
 4. ``T_k <- T_k + rho (L_k [+ E_k] - M)``.
 
-Iteration stops when the relative change of the objective (the method's own
-regularizer value, plus ``lambda * sum_k ||E_k||_1`` for the robust solver)
-drops below ``tol``, or at ``max_iters``.  The recovered output
+Iteration stops when the relative change of the objective drops below
+``tol``, or at ``max_iters``.  The objective is ``sum_k alpha_k *
+penalty_k(sigma_k)``, with ``penalty_k`` the rule's penalty and ``sigma_k``
+the shrunk spectrum the kernel returned for mode k, plus
+``lambda * sum_k ||E_k||_1`` for the robust solver.  The recovered output
 ``L = sum_k alpha_k L_k`` is formed once, after the last iteration.
 
 The loop keeps ``L_k``, ``T_k`` and ``E_k`` as one ``(3, n1, n2, n3)``
@@ -34,23 +38,33 @@ that loop, which ``tests/test_solvers.py`` keeps as the reference.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericError, UsageError
 from .prox import (
     DEFAULT_EPSILON,
-    ShrinkageSpec,
+    LogRule,
+    TruncatedRule,
     apply_shrinkage,
     soft_threshold,
-    svd,
 )
 # apply_constraint is no longer called by the loop; it stays importable here
 # because perfbench wraps the layer functions under their solvers names.
 from .tensor import apply_constraint, check_mask, check_tensor, fold, unfold  # noqa: F401
 
-METHODS = ("tcpfnc", "rtcpfnc", "halrtc", "tnn")
+# The one map from a method to its shrinkage rule.  ``complete`` calls the
+# entry once per mode k with tau_k = alpha_k / rho and the truncation count
+# r_k = round(truncation_rate * n_k), capped below the smaller side of the
+# mode-k unfolding; only tnn uses r_k.
+RULES = {
+    "tcpfnc": lambda cfg, tau, r: LogRule(tau, cfg.epsilon),
+    "rtcpfnc": lambda cfg, tau, r: LogRule(tau, cfg.epsilon),
+    "halrtc": lambda cfg, tau, r: TruncatedRule(tau),
+    "tnn": lambda cfg, tau, r: TruncatedRule(tau, r),
+}
+METHODS = tuple(RULES)
 
 DEFAULT_RHO = 1e-4
 DEFAULT_TOL = 1e-6
@@ -88,19 +102,19 @@ class SolverConfig:
         alpha = tuple(float(a) for a in self.alpha)
         if len(alpha) != 3:
             raise UsageError("alpha must have exactly 3 components")
-        if min(alpha) < 0:
-            raise UsageError("alpha components must be >= 0")
+        if not all(math.isfinite(a) and a >= 0 for a in alpha):
+            raise UsageError(
+                f"alpha components must be finite and >= 0, got {alpha}"
+            )
         if abs(sum(alpha) - 1.0) > 1e-12:
             raise UsageError(f"alpha must sum to 1, got {sum(alpha)!r}")
         object.__setattr__(self, "alpha", alpha)
-        if self.rho <= 0:
-            raise UsageError(f"rho must be > 0, got {self.rho}")
-        if self.lam is not None and self.lam <= 0:
-            raise UsageError(f"lambda must be > 0, got {self.lam}")
-        if self.epsilon <= 0:
-            raise UsageError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.tol <= 0:
-            raise UsageError(f"tol must be > 0, got {self.tol}")
+        positive = {"rho": self.rho, "epsilon": self.epsilon, "tol": self.tol}
+        if self.lam is not None:
+            positive["lambda"] = self.lam
+        for name, value in positive.items():
+            if not (math.isfinite(value) and value > 0):
+                raise UsageError(f"{name} must be finite and > 0, got {value}")
         if self.max_iters < 1:
             raise UsageError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0.0 <= self.truncation_rate < 1.0:
@@ -155,69 +169,13 @@ def check_convergence(history, tol):
     return abs(last - prev) / abs(prev) < tol
 
 
-def mode_shrinkage_specs(cfg, dims):
-    """Per-mode ShrinkageSpec triple implied by the method and config."""
-    kind = {
-        "tcpfnc": "log_weighted",
-        "rtcpfnc": "log_weighted",
-        "halrtc": "plain",
-        "tnn": "truncated",
-    }[cfg.method]
-    total = dims[0] * dims[1] * dims[2]
-    specs = []
-    for k in range(3):
-        r = 0
-        if cfg.method == "tnn":
-            min_dim = min(dims[k], total // dims[k])
-            r = min(round(cfg.truncation_rate * dims[k]), min_dim - 1)
-        specs.append(
-            ShrinkageSpec(
-                kind=kind,
-                tau=cfg.alpha[k] / cfg.rho,
-                epsilon=cfg.epsilon,
-                truncation_r=r,
-            )
-        )
-    return tuple(specs)
+def complete(y, mask, cfg, iter_hook=None):
+    """Fill in the entries of ``y`` where ``mask`` is 0 with the method of
+    ``cfg``, whose shrinkage rule comes from :data:`RULES`.
 
-
-def _penalty_from_spectra(cfg, sigmas, specs):
-    """Regularizer value from the per-mode spectra of the current L_k."""
-    total = 0.0
-    for k in range(3):
-        s = sigmas[k]
-        if cfg.method in ("tcpfnc", "rtcpfnc"):
-            total += cfg.alpha[k] * float(np.sum(np.log(s + cfg.epsilon)))
-        elif cfg.method == "halrtc":
-            total += cfg.alpha[k] * float(np.sum(s))
-        else:
-            total += cfg.alpha[k] * float(np.sum(s[specs[k].truncation_r:]))
-    return total
-
-
-def objective(lk, ek, cfg):
-    """Objective value at (L_k, E_k): the method's regularizer sum, plus
-    lambda * sum_k ||E_k||_1 for the robust method.
-
-    Recomputed from scratch via the exact SVD of each unfolding.  The
-    solver's recorded history sums the spectra its Gram-matrix kernel
-    returned instead.  On the 30x24x14 desk tensor the two agree to about
-    1e-15 relative for ``tcpfnc`` and ``halrtc`` and 1e-8 for ``rtcpfnc``:
-    where a log-surrogate singular value was shrunk to zero, the SVD here
-    returns rounding noise of order 1e-16 * sigma_max, and the term
-    log(sigma + epsilon) moves by that noise over epsilon.
+    Returns a :class:`SolverResult`.  ``iter_hook``, if given, receives a
+    :class:`SolverState` after every iteration.
     """
-    dims = lk[0].shape
-    specs = mode_shrinkage_specs(cfg, dims)
-    sigmas = [svd(unfold(lk[k], k)).sigma for k in range(3)]
-    total = _penalty_from_spectra(cfg, sigmas, specs)
-    if cfg.method == "rtcpfnc" and ek is not None:
-        lam = cfg.lam if cfg.lam is not None else default_lambda(dims)
-        total += lam * sum(float(np.sum(np.abs(e))) for e in ek)
-    return total
-
-
-def _run(y, mask, cfg, iter_hook=None):
     y = check_tensor(y, "y")
     mask = check_mask(mask, y.shape)
     if not np.any(mask):
@@ -226,7 +184,14 @@ def _run(y, mask, cfg, iter_hook=None):
     robust = cfg.method == "rtcpfnc"
     rho = cfg.rho
     lam = cfg.lam if cfg.lam is not None else default_lambda(dims)
-    specs = mode_shrinkage_specs(cfg, dims)
+    rules = [
+        RULES[cfg.method](
+            cfg,
+            cfg.alpha[k] / rho,
+            min(round(cfg.truncation_rate * n), min(n, y.size // n) - 1),
+        )
+        for k, n in enumerate(dims)
+    ]
 
     y_obs = y * mask
     hidden = 1.0 - mask
@@ -251,7 +216,7 @@ def _run(y, mask, cfg, iter_hook=None):
         np.subtract(m, z, out=z)
         if robust:
             np.subtract(z, ek[k], out=z)
-        mat, sig = apply_shrinkage(unfold(z, k), specs[k], sigma_prev[k])
+        mat, sig = apply_shrinkage(unfold(z, k), rules[k], sigma_prev[k])
         lk[k] = fold(mat, k, dims)
         return sig
 
@@ -298,7 +263,9 @@ def _run(y, mask, cfg, iter_hook=None):
                 buf *= rho
                 tk[k] += buf
 
-            obj = _penalty_from_spectra(cfg, sigmas, specs)
+            obj = 0.0
+            for k in range(3):
+                obj += cfg.alpha[k] * rules[k].penalty(sigmas[k])
             if robust:
                 obj += lam * sum(
                     float(np.sum(np.abs(e, out=buf))) for e in ek
@@ -345,52 +312,13 @@ def _run(y, mask, cfg, iter_hook=None):
     )
 
 
-def complete(y, mask, cfg, iter_hook=None):
-    """Run the solver selected by ``cfg.method``."""
-    return _run(y, mask, cfg, iter_hook)
-
-
-def tc_pfnc(y, mask, cfg=None, iter_hook=None):
-    """Log-surrogate completion (non-robust)."""
-    cfg = replace(cfg, method="tcpfnc") if cfg else SolverConfig(method="tcpfnc")
-    return _run(y, mask, cfg, iter_hook)
-
-
-def rtc_pfnc(y, mask, cfg=None, iter_hook=None):
-    """Log-surrogate completion with a sparse anomaly term."""
-    cfg = replace(cfg, method="rtcpfnc") if cfg else SolverConfig(method="rtcpfnc")
-    return _run(y, mask, cfg, iter_hook)
-
-
-def halrtc(y, mask, cfg=None, iter_hook=None):
-    """Nuclear-norm baseline (plain SVT in the L_k step)."""
-    cfg = replace(cfg, method="halrtc") if cfg else SolverConfig(method="halrtc")
-    return _run(y, mask, cfg, iter_hook)
-
-
-def lrtc_tnn(y, mask, cfg=None, iter_hook=None):
-    """Truncated-nuclear-norm baseline.
-
-    The r_k largest singular values of each unfolding are exempt from
-    shrinkage, with r_k = round(truncation_rate * n_k) capped below the
-    unfolding's smaller dimension.
-    """
-    cfg = replace(cfg, method="tnn") if cfg else SolverConfig(method="tnn")
-    return _run(y, mask, cfg, iter_hook)
-
-
 __all__ = [
     "METHODS",
+    "RULES",
     "SolverConfig",
     "SolverState",
     "SolverResult",
     "check_convergence",
     "complete",
     "default_lambda",
-    "halrtc",
-    "lrtc_tnn",
-    "mode_shrinkage_specs",
-    "objective",
-    "rtc_pfnc",
-    "tc_pfnc",
 ]

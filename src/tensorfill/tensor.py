@@ -1,4 +1,4 @@
-"""Dense third-order tensor primitives: unfolding, folding, and masked projection.
+"""Dense third-order tensor primitives: unfolding, folding, and the data constraint.
 
 The mode-k unfolding of ``x`` with shape ``(n1, n2, n3)`` is the matrix whose
 rows are indexed by mode k and whose columns enumerate the remaining two modes
@@ -64,19 +64,9 @@ def fold(m, mode, shape):
     return np.moveaxis(np.asarray(m).reshape(moved, order="F"), 0, mode)
 
 
-def project(x, mask):
-    """Entrywise projection onto the observed set: ``x * mask``."""
-    return x * mask
-
-
 def apply_constraint(m, y, mask):
     """Overwrite the observed entries of ``m`` with those of ``y``.
 
     Computes ``P_omega(y) + P_omega_perp(m)`` without modifying inputs.
     """
     return y * mask + m * (1.0 - mask)
-
-
-def frobenius(x):
-    """Frobenius norm of an array of any shape."""
-    return float(np.linalg.norm(np.asarray(x).ravel()))

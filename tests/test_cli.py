@@ -1,13 +1,17 @@
 """CLI tests: subcommand contracts, manifests, exit codes, determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tensorfill.cli import main
+from tensorfill.cli import _load_manifest, main
 from tensorfill.datagen import SyntheticSpec, synthesize
-from tensorfill.io import read_mask, read_tensor, write_mask, write_tensor
+from tensorfill.errors import TensorfillError
+from tensorfill.io import ingest_csv, read_mask, read_tensor, write_mask, write_tensor
 
 
 def run(*argv):
@@ -307,3 +311,137 @@ def test_rerun_mistyped_config_value_is_input_error(tmp_path, capsys):
 
     assert _rerun_edited(tmp_path, edit) == 3
     assert "bad config value" in capsys.readouterr().err
+
+
+def test_complete_malformed_threads_env_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TENSORFILL_THREADS", "abc")
+    y, m = _pipeline_files(tmp_path)  # synth and mask do not read it
+    assert y.exists() and m.exists()
+    assert run("complete", "--tensor", y, "--mask", m, "--method", "tcpfnc",
+               "--max-iters", "5", "-o", tmp_path / "r.tns",
+               "--manifest", tmp_path / "man.json") == 2
+    assert "TENSORFILL_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--tol", "nan"),
+    ("--rho", "nan"),
+    ("--rho", "inf"),
+    ("--alpha", "nan,0.5,0.5"),
+    ("--lambda", "nan"),
+])
+def test_complete_non_finite_parameter_is_usage_error(tmp_path, flags):
+    y, m = _pipeline_files(tmp_path)
+    assert run("complete", "--tensor", y, "--mask", m, "--method", "rtcpfnc",
+               "--max-iters", "5", *flags, "-o", tmp_path / "r.tns",
+               "--manifest", tmp_path / "man.json") == 2
+
+
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
+
+@pytest.mark.parametrize("content", [NOT_UTF8, b"[" * 100000],
+                         ids=["not-utf8", "too-deep"])
+def test_unparseable_manifest_is_input_error(tmp_path, content):
+    """Bytes that are not UTF-8, and JSON nested too deep to parse."""
+    man = tmp_path / "man.json"
+    man.write_bytes(content)
+    assert run("rerun", "--manifest", man, "--workdir", tmp_path / "w") == 3
+    truth, m = _pipeline_files(tmp_path)
+    assert run("eval", "--truth", truth, "--recovered", truth, "--mask", m,
+               "--manifest", man) == 3
+
+
+def test_rerun_non_string_path_is_input_error(tmp_path, capsys):
+    def edit(manifest):
+        manifest["inputs"][0]["path"] = 7
+
+    assert _rerun_edited(tmp_path, edit) == 3
+    assert "path of the wrong type" in capsys.readouterr().err
+
+
+def test_rerun_unwritable_workdir_is_input_error(tmp_path):
+    man = _recorded_run(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run("rerun", "--manifest", man, "--workdir", blocker / "w") == 3
+
+
+@pytest.mark.parametrize("content", [NOT_UTF8, b"1" * 200000],
+                         ids=["not-utf8", "huge-field"])
+def test_unparseable_csv_is_input_error(tmp_path, content):
+    """Bytes that are not UTF-8, and a cell above the csv field size limit."""
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(content)
+    assert run("ingest", "--csv", csv_path, "--dims", "1,1,1",
+               "-o", tmp_path / "t.tns", "--mask-out", tmp_path / "m.msk") == 3
+
+
+def test_ingest_huge_dims_fail_before_allocating(tmp_path, capsys):
+    """The row count is checked before the n1 x n2n3 buffer (7 TiB here)."""
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("1,2\n3,4\n")
+    assert run("ingest", "--csv", csv_path, "--dims", "100000,100000,100",
+               "-o", tmp_path / "t.tns", "--mask-out", tmp_path / "m.msk") == 3
+    assert "expected 100000 rows, found 2" in capsys.readouterr().err
+    assert run("ingest", "--csv", csv_path, "--dims", "2,100000,100000",
+               "-o", tmp_path / "t.tns", "--mask-out", tmp_path / "m.msk") == 3
+    assert "row 1 has 2 columns, expected 10000000000" in capsys.readouterr().err
+
+
+# Fuzzed reader inputs: arbitrary bytes, TNS1/MSK1 headers with arbitrary
+# bodies, arbitrary JSON, manifests with arbitrary field values and CSV-like
+# text.  Every reader either succeeds or raises a TensorfillError.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+FILE_ENTRY = st.fixed_dictionaries(
+    {}, optional={"role": st.sampled_from(["tensor", "mask"]) | JSON,
+                  "path": JSON, "sha256": JSON})
+MANIFEST = st.fixed_dictionaries({}, optional={
+    "manifest_version": st.just(1) | JSON,
+    "method": st.just("halrtc") | JSON,
+    "config": st.fixed_dictionaries({"method": st.just("halrtc") | JSON}) | JSON,
+    "inputs": st.lists(FILE_ENTRY, max_size=3) | JSON,
+    "outputs": st.lists(FILE_ENTRY, max_size=2) | JSON,
+    "iterations": JSON,
+    "eval": st.none() | st.fixed_dictionaries({}, optional={
+        k: JSON | FILE_ENTRY
+        for k in ("truth", "mask", "on_observed", "pattern", "rate", "gamma", "seed")
+    }) | JSON,
+    "csv_row": JSON,
+})
+HEADER = st.builds(
+    lambda magic, dims, body: struct.pack("<4s3Q", magic, *dims) + body,
+    st.sampled_from([b"TNS1", b"MSK1"]),
+    st.tuples(*3 * [st.integers(0, 3) | st.integers(0, 2**64 - 1)]),
+    st.binary(max_size=80),
+)
+FUZZ_BYTES = st.one_of(
+    st.binary(max_size=120),
+    HEADER,
+    (JSON | MANIFEST).map(lambda v: json.dumps(v).encode()),
+    st.text(alphabet="0123456789.,-+eEinfa \n\r\"x\x00", max_size=40).map(str.encode),
+)
+READERS = {
+    "read_tensor": read_tensor,
+    "read_mask": read_mask,
+    "_load_manifest": _load_manifest,
+    "ingest_csv": lambda path: ingest_csv(path, (2, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@given(data=FUZZ_BYTES)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_readers_raise_only_tensorfill_errors(reader, data, tmp_path):
+    path = tmp_path / "fuzzed"
+    path.write_bytes(data)
+    try:
+        READERS[reader](path)
+    except TensorfillError:
+        pass

@@ -1,4 +1,7 @@
-"""Proximal-operator tests: minimizer oracles, shrinkage laws, thresholds."""
+"""Proximal-operator tests: minimizer oracles, shrinkage laws, thresholds.
+
+Each rule is exercised through the one kernel, ``apply_shrinkage(z, rule)``.
+"""
 
 import numpy as np
 import pytest
@@ -9,17 +12,15 @@ from hypothesis.extra import numpy as hnp
 from tensorfill.errors import NumericError, UsageError
 from tensorfill.prox import (
     DEFAULT_EPSILON,
-    ShrinkageSpec,
+    LogRule,
+    TruncatedRule,
     apply_shrinkage,
-    log_surrogate,
     log_weights,
-    plain_svt,
     shrinkage_thresholds,
     soft_threshold,
     svd,
-    truncated_svt,
-    weighted_svt,
 )
+from tensorfill.solvers import RULES, SolverConfig
 
 
 def weighted_objective(x, z, weights, tau):
@@ -35,7 +36,7 @@ def test_weighted_svt_beats_random_perturbations():
         z = rng.normal(scale=3.0, size=(6, 8))
         tau = float(rng.uniform(0.5, 4.0))
         weights = log_weights(np.linalg.svd(z, compute_uv=False), DEFAULT_EPSILON)
-        out, _ = weighted_svt(z, tau)
+        out, _ = apply_shrinkage(z, LogRule(tau))
         best = weighted_objective(out, z, weights, tau)
         for _ in range(50):
             scale = 10.0 ** rng.uniform(-3, 0)
@@ -48,9 +49,9 @@ def test_weighted_svt_beats_plain_candidates():
     z = rng.normal(scale=2.0, size=(5, 7))
     tau = 1.5
     weights = log_weights(np.linalg.svd(z, compute_uv=False), DEFAULT_EPSILON)
-    out, _ = weighted_svt(z, tau)
+    out, _ = apply_shrinkage(z, LogRule(tau))
     best = weighted_objective(out, z, weights, tau)
-    for candidate in (z, np.zeros_like(z), plain_svt(z, tau)[0]):
+    for candidate in (z, np.zeros_like(z), apply_shrinkage(z, TruncatedRule(tau))[0]):
         assert best <= weighted_objective(candidate, z, weights, tau) + 1e-9
 
 
@@ -70,7 +71,7 @@ def test_weighted_svt_first_iteration_uses_input_spectrum():
     tau = 2.0
     sigma_z = np.linalg.svd(z, compute_uv=False)
     expected = np.maximum(sigma_z - tau / (sigma_z + DEFAULT_EPSILON), 0.0)
-    _, shrunk = weighted_svt(z, tau)
+    _, shrunk = apply_shrinkage(z, LogRule(tau))
     np.testing.assert_allclose(shrunk, expected, rtol=1e-10, atol=1e-12)
 
 
@@ -81,15 +82,14 @@ def test_weighted_svt_previous_spectrum_sets_thresholds():
     sigma_prev = np.array([9.0, 4.0, 1.0, 0.5, 0.0, 0.0])
     sigma_z = np.linalg.svd(z, compute_uv=False)
     expected = np.maximum(sigma_z - tau / (sigma_prev + DEFAULT_EPSILON), 0.0)
-    _, shrunk = weighted_svt(z, tau, sigma_prev=sigma_prev)
+    _, shrunk = apply_shrinkage(z, LogRule(tau), sigma_prev)
     np.testing.assert_allclose(shrunk, expected, rtol=1e-10, atol=1e-12)
 
 
 def test_zeroed_singular_value_stays_locked():
     """A zero in the previous spectrum yields a huge threshold forever."""
     sigma_prev = np.array([10.0, 0.0])
-    spec = ShrinkageSpec(kind="log_weighted", tau=1.0)
-    thresholds = shrinkage_thresholds(spec, np.array([10.0, 5.0]), sigma_prev)
+    thresholds = shrinkage_thresholds(LogRule(1.0), np.array([10.0, 5.0]), sigma_prev)
     assert thresholds[1] == pytest.approx(1.0 / DEFAULT_EPSILON)
 
 
@@ -99,7 +99,7 @@ def test_zeroed_singular_value_stays_locked():
 )
 @settings(max_examples=40, deadline=None)
 def test_weighted_svt_output_spectrum_descending(z, tau):
-    _, shrunk = weighted_svt(z, tau)
+    _, shrunk = apply_shrinkage(z, LogRule(tau))
     assert np.all(np.diff(shrunk) <= 1e-9)
     assert np.all(shrunk >= 0.0)
 
@@ -108,7 +108,7 @@ def test_plain_svt_closed_form():
     u = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 4)))[0]
     v = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
     z = u @ np.diag([5.0, 3.0, 1.0, 0.2]) @ v.T
-    out, shrunk = plain_svt(z, 2.0)
+    out, shrunk = apply_shrinkage(z, TruncatedRule(2.0))
     np.testing.assert_allclose(shrunk, [3.0, 1.0, 0.0, 0.0], atol=1e-10)
     np.testing.assert_allclose(out, u @ np.diag([3.0, 1.0, 0.0, 0.0]) @ v.T, atol=1e-9)
 
@@ -120,7 +120,7 @@ def test_plain_svt_closed_form():
 @settings(max_examples=40, deadline=None)
 def test_plain_svt_monotone_shrinkage(z, tau):
     sigma_in = np.linalg.svd(z, compute_uv=False)
-    _, shrunk = plain_svt(z, tau)
+    _, shrunk = apply_shrinkage(z, TruncatedRule(tau))
     assert np.all(shrunk <= sigma_in + 1e-9)
     np.testing.assert_allclose(shrunk, np.maximum(sigma_in - tau, 0.0), atol=1e-9)
 
@@ -129,24 +129,28 @@ def test_truncated_svt_spares_top_singular_values():
     rng = np.random.default_rng(6)
     z = rng.normal(scale=3.0, size=(6, 6))
     sigma_in = np.linalg.svd(z, compute_uv=False)
-    _, shrunk = truncated_svt(z, 1.0, 2)
+    _, shrunk = apply_shrinkage(z, TruncatedRule(1.0, 2))
     np.testing.assert_allclose(shrunk[:2], sigma_in[:2], rtol=1e-10)
     np.testing.assert_allclose(shrunk[2:], np.maximum(sigma_in[2:] - 1.0, 0.0), atol=1e-9)
 
 
 def test_truncated_svt_rank_zero_equals_plain():
+    """The table's tnn rule with r = 0 is the halrtc rule."""
     rng = np.random.default_rng(7)
     z = rng.normal(size=(5, 4))
-    out_t, shrunk_t = truncated_svt(z, 0.8, 0)
-    out_p, shrunk_p = plain_svt(z, 0.8)
+    tnn = RULES["tnn"](SolverConfig("tnn"), 0.8, 0)
+    plain = RULES["halrtc"](SolverConfig("halrtc"), 0.8, 2)
+    out_t, shrunk_t = apply_shrinkage(z, tnn)
+    out_p, shrunk_p = apply_shrinkage(z, plain)
     np.testing.assert_array_equal(out_t, out_p)
     np.testing.assert_array_equal(shrunk_t, shrunk_p)
+    assert tnn.penalty(shrunk_t) == plain.penalty(shrunk_p)
 
 
 def test_truncated_svt_rejects_full_truncation():
     z = np.zeros((4, 5))
     with pytest.raises(UsageError):
-        truncated_svt(z, 1.0, 4)
+        apply_shrinkage(z, TruncatedRule(1.0, 4))
 
 
 def test_soft_threshold_worked_values():
@@ -187,7 +191,14 @@ def test_log_surrogate_matches_direct_sum():
     rng = np.random.default_rng(9)
     z = rng.normal(size=(5, 3))
     sigma = np.linalg.svd(z, compute_uv=False)
-    assert log_surrogate(z) == pytest.approx(float(np.sum(np.log(sigma + DEFAULT_EPSILON))))
+    assert LogRule(2.0).penalty(sigma) == pytest.approx(
+        float(np.sum(np.log(sigma + DEFAULT_EPSILON))))
+
+
+def test_truncated_penalty_skips_the_exempt_values():
+    sigma = np.array([5.0, 3.0, 1.0, 0.5])
+    assert TruncatedRule(2.0, 2).penalty(sigma) == 1.5
+    assert TruncatedRule(2.0).penalty(sigma) == 9.5
 
 
 def test_svd_reconstructs_and_rejects_non_finite():
@@ -201,24 +212,16 @@ def test_svd_reconstructs_and_rejects_non_finite():
         svd(bad)
 
 
-def test_shrinkage_spec_rejects_unknown_kind():
-    with pytest.raises(UsageError):
-        ShrinkageSpec(kind="mystery", tau=1.0)
-
-
-def test_shrinkage_spec_rejects_negative_tau():
-    with pytest.raises(UsageError):
-        ShrinkageSpec(kind="plain", tau=-1.0)
-
-
-def test_apply_shrinkage_plain_kind_matches_wrapper():
-    rng = np.random.default_rng(11)
-    z = rng.normal(size=(5, 5))
-    spec = ShrinkageSpec(kind="plain", tau=0.9)
-    out_a, shrunk_a = apply_shrinkage(z, spec)
-    out_b, shrunk_b = plain_svt(z, 0.9)
-    np.testing.assert_array_equal(out_a, out_b)
-    np.testing.assert_array_equal(shrunk_a, shrunk_b)
+def test_rules_reject_invalid_parameters():
+    for make in (
+        lambda: LogRule(-1.0),
+        lambda: LogRule(np.nan),
+        lambda: LogRule(1.0, epsilon=0.0),
+        lambda: TruncatedRule(-1.0),
+        lambda: TruncatedRule(1.0, -1),
+    ):
+        with pytest.raises(UsageError):
+            make()
 
 
 # The Gram-matrix kernel against the exact SVD.  Output matrices
@@ -230,10 +233,10 @@ KERNEL_ATOL = 1e-12
 DEFICIENT_SIGMA_ATOL = 1e-7
 
 
-def _exact_shrinkage(z, spec, sigma_prev=None):
+def _exact_shrinkage(z, rule, sigma_prev=None):
     """(u * shrunk) @ vt from the exact thin SVD."""
     factors = svd(z)
-    thresholds = shrinkage_thresholds(spec, factors.sigma, sigma_prev)
+    thresholds = shrinkage_thresholds(rule, factors.sigma, sigma_prev)
     shrunk = np.maximum(factors.sigma - thresholds, 0.0)
     return (factors.u * shrunk) @ factors.vt, shrunk
 
@@ -247,14 +250,14 @@ def _kernel_inputs():
         yield low, True
 
 
-def _kernel_specs(kind, sigma):
-    """Specs of ``kind`` that keep some components and zero others."""
+def _kernel_rules(kind, sigma):
+    """Rules of ``kind`` that keep some components and zero others."""
     s1 = float(sigma[1])
     if kind == "plain":
-        return [ShrinkageSpec("plain", tau=0.5 * s1), ShrinkageSpec("plain", tau=0.0)]
+        return [TruncatedRule(0.5 * s1), TruncatedRule(0.0)]
     if kind == "truncated":
-        return [ShrinkageSpec("truncated", tau=0.5 * s1, truncation_r=1)]
-    return [ShrinkageSpec("log_weighted", tau=0.5 * s1 * s1)]
+        return [TruncatedRule(0.5 * s1, 1)]
+    return [LogRule(0.5 * s1 * s1)]
 
 
 @pytest.mark.parametrize("kind", ["plain", "log_weighted", "truncated"])
@@ -262,10 +265,10 @@ def test_apply_shrinkage_matches_exact_svd(kind):
     for z, deficient in _kernel_inputs():
         sigma = svd(z).sigma
         priors = [None, 1.1 * sigma] if kind == "log_weighted" else [None]
-        for spec in _kernel_specs(kind, sigma):
+        for rule in _kernel_rules(kind, sigma):
             for sigma_prev in priors:
-                out, shrunk = apply_shrinkage(z, spec, sigma_prev)
-                ref, ref_shrunk = _exact_shrinkage(z, spec, sigma_prev)
+                out, shrunk = apply_shrinkage(z, rule, sigma_prev)
+                ref, ref_shrunk = _exact_shrinkage(z, rule, sigma_prev)
                 assert out.shape == z.shape
                 np.testing.assert_allclose(out, ref, rtol=0, atol=KERNEL_ATOL * sigma[0])
                 sigma_atol = DEFICIENT_SIGMA_ATOL if deficient else KERNEL_ATOL
@@ -279,9 +282,9 @@ def test_apply_shrinkage_extreme_magnitudes_match_exact_svd(scale):
     """Squaring 1e+-200 would leave the floating-point range unscaled."""
     z = scale * np.random.default_rng(13).normal(size=(6, 9))
     sigma = svd(z).sigma
-    spec = ShrinkageSpec("truncated", tau=0.5 * float(sigma[1]), truncation_r=1)
-    out, shrunk = apply_shrinkage(z, spec)
-    ref, ref_shrunk = _exact_shrinkage(z, spec)
+    rule = TruncatedRule(0.5 * float(sigma[1]), 1)
+    out, shrunk = apply_shrinkage(z, rule)
+    ref, ref_shrunk = _exact_shrinkage(z, rule)
     np.testing.assert_allclose(out, ref, rtol=0, atol=KERNEL_ATOL * sigma[0])
     np.testing.assert_allclose(shrunk, ref_shrunk, rtol=0, atol=KERNEL_ATOL * sigma[0])
 
@@ -289,17 +292,13 @@ def test_apply_shrinkage_extreme_magnitudes_match_exact_svd(scale):
 def test_apply_shrinkage_never_divides_by_zero_singular_values():
     z = np.zeros((4, 6))
     z[0, 0], z[1, 1] = 3.0, 2.0
-    specs = (
-        ShrinkageSpec("plain", tau=0.0),
-        ShrinkageSpec("truncated", tau=1.0, truncation_r=3),
-        ShrinkageSpec("log_weighted", tau=1.0),
-    )
+    rules = (TruncatedRule(0.0), TruncatedRule(1.0, 3), LogRule(1.0))
     with np.errstate(divide="raise", invalid="raise"):
-        for spec in specs:
-            out, shrunk = apply_shrinkage(z, spec)
+        for rule in rules:
+            out, shrunk = apply_shrinkage(z, rule)
             assert np.all(np.isfinite(out))
             np.testing.assert_array_equal(shrunk[2:], 0.0)
-        out, shrunk = apply_shrinkage(np.zeros((5, 3)), specs[0])
+        out, shrunk = apply_shrinkage(np.zeros((5, 3)), rules[0])
     np.testing.assert_array_equal(out, 0.0)
     np.testing.assert_array_equal(shrunk, 0.0)
 
@@ -307,7 +306,7 @@ def test_apply_shrinkage_never_divides_by_zero_singular_values():
 def test_apply_shrinkage_numeric_errors(monkeypatch):
     """Non-finite input is refused before the eigensolver runs, and an
     eigensolver failure surfaces as NumericError."""
-    spec = ShrinkageSpec("plain", tau=1.0)
+    rule = TruncatedRule(1.0)
 
     def not_reached(_):
         raise AssertionError("eigh ran on non-finite input")
@@ -317,11 +316,11 @@ def test_apply_shrinkage_numeric_errors(monkeypatch):
         z = np.ones((3, 4))
         z[1, 2] = bad
         with pytest.raises(NumericError):
-            apply_shrinkage(z, spec)
+            apply_shrinkage(z, rule)
 
     def no_convergence(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     with pytest.raises(NumericError, match="did not converge"):
-        apply_shrinkage(np.ones((3, 4)), spec)
+        apply_shrinkage(np.ones((3, 4)), rule)

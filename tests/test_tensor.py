@@ -1,4 +1,4 @@
-"""Structural tests: unfolding, folding, projection, validation."""
+"""Structural tests: unfolding, folding, the data constraint, validation."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from tensorfill.tensor import (
     check_mask,
     check_tensor,
     fold,
-    frobenius,
-    project,
     unfold,
 )
 
@@ -73,7 +71,7 @@ def test_fold_unfold_roundtrip(x, mode):
 )
 @settings(max_examples=60, deadline=None)
 def test_unfold_preserves_frobenius_norm(x, mode):
-    assert np.linalg.norm(unfold(x, mode)) == pytest.approx(frobenius(x), rel=1e-12, abs=1e-12)
+    assert np.linalg.norm(unfold(x, mode)) == pytest.approx(np.linalg.norm(x.ravel()), rel=1e-12, abs=1e-12)
 
 
 def test_unfold_rejects_bad_mode():
@@ -107,20 +105,6 @@ def test_check_mask_rejects_shape_mismatch():
         check_mask(np.ones((2, 2, 2)), (2, 2, 3))
 
 
-def test_project_idempotent_and_linear():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(4, 3, 5))
-    y = rng.normal(size=(4, 3, 5))
-    mask = (rng.uniform(size=(4, 3, 5)) < 0.5).astype(float)
-    np.testing.assert_array_equal(project(project(x, mask), mask), project(x, mask))
-    np.testing.assert_allclose(
-        project(2.0 * x - 3.0 * y, mask),
-        2.0 * project(x, mask) - 3.0 * project(y, mask),
-        rtol=1e-12,
-        atol=1e-12,
-    )
-
-
 def test_apply_constraint_sets_observed_keeps_missing():
     rng = np.random.default_rng(11)
     y_obs = rng.normal(size=(3, 4, 2))
@@ -130,9 +114,3 @@ def test_apply_constraint_sets_observed_keeps_missing():
     out = apply_constraint(m, y_obs, mask)
     np.testing.assert_array_equal(out[mask == 1.0], y_obs[mask == 1.0])
     np.testing.assert_array_equal(out[mask == 0.0], m[mask == 0.0])
-
-
-def test_frobenius_matches_flat_norm():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(5, 4, 3))
-    assert frobenius(x) == pytest.approx(np.linalg.norm(x.ravel()), rel=1e-14)
