@@ -57,15 +57,7 @@ from .io import (
     write_tensor,
 )
 from .metrics import evaluate
-from .solvers import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_RHO,
-    DEFAULT_TOL,
-    METHODS,
-    SolverConfig,
-    complete,
-    default_lambda,
-)
+from .solvers import METHODS, SolverConfig, complete, default_lambda
 
 CSV_HEADER = "method,dims,pattern,rate,gamma,seed,mape,rmse,iters"
 MANIFEST_VERSION = 1
@@ -386,12 +378,9 @@ def cmd_rerun(args):
     for entry in manifest["inputs"]:
         _verify_entry(entry)
 
-    cfg_dict = dict(manifest["config"])
     try:
-        if "alpha" in cfg_dict:
-            cfg_dict["alpha"] = tuple(cfg_dict["alpha"])
-        cfg = SolverConfig(**cfg_dict)
-    except (TypeError, ValueError) as exc:
+        cfg = SolverConfig(**manifest["config"])
+    except (UsageError, TypeError, ValueError) as exc:
         raise InputError(f"manifest {args.manifest}: bad config value: {exc}")
     paths = {e["role"]: e["path"] for e in manifest["inputs"]}
     tensor = read_tensor(paths["tensor"])
@@ -479,14 +468,15 @@ def build_parser():
     p.add_argument("--tensor", required=True, help="observed TNS1 path")
     p.add_argument("--mask", required=True, help="observation MSK1 path")
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--rho", type=float, default=DEFAULT_RHO, help="ADMM penalty")
+    p.add_argument("--rho", type=float, default=SolverConfig.rho, help="ADMM penalty")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="anomaly sparsity weight (robust method)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="stop tolerance")
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
-    p.add_argument("--trunc-rate", type=float, default=0.0,
+    p.add_argument("--tol", type=float, default=SolverConfig.tol, help="stop tolerance")
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    p.add_argument("--trunc-rate", type=float, default=SolverConfig.truncation_rate,
                    help="truncation rate for the tnn method")
-    p.add_argument("--alpha", default="0.3333333333333333,0.3333333333333333,0.3333333333333334",
+    # repr round-trips, so the default parses back to the library's weights
+    p.add_argument("--alpha", default=",".join(map(repr, SolverConfig.alpha)),
                    help="mode weights a1,a2,a3 summing to 1")
     p.add_argument("--threads", type=int, default=None,
                    help="per-mode worker threads (default TENSORFILL_THREADS or 1)")

@@ -1,10 +1,12 @@
 """Reproducible experiment inputs: missing masks, sparse corruption, synthetics.
 
-Everything here is a pure function of its arguments and a 64-bit seed.  The
-generator is Philox (counter-based), so streams are stable across platforms
-and numpy releases of the same major line.  Fractional counts round half to
-even.  Linear entry order is always first-index-fastest, matching the on-disk
-layout, so drawn index sets are stable too.
+Everything here is a pure function of its arguments and an integer seed
+>= 0, each scalar checked by :func:`tensor.check_scalar` (UsageError if
+bad).  The generator is Philox (counter-based), so streams are stable
+across platforms and numpy releases of the same major line.  Fractional
+counts round half to even.  Linear entry order is always
+first-index-fastest, matching the on-disk layout, so drawn index sets are
+stable too.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .tensor import check_mask, check_tensor
+from .tensor import check_mask, check_scalar, check_tensor
 
 
 @dataclass(frozen=True)
@@ -25,12 +27,11 @@ class CorruptionSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise UsageError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.s < 0:
-            raise UsageError(f"s must be >= 0, got {self.s}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        check_scalar("gamma", self.gamma, 0, 1)
+        # U(-s, s) needs a finite width 2s >= 0, so -0.0 is stored as 0.0
+        s = check_scalar("s", self.s, 0, np.finfo(np.float64).max / 2)
+        object.__setattr__(self, "s", abs(s))
+        check_scalar("seed", self.seed, 0, integer=True)
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,9 @@ class SyntheticSpec:
         if len(dims) != 3 or min(dims) < 1:
             raise UsageError(f"dims must be three positive integers, got {self.dims}")
         object.__setattr__(self, "dims", dims)
-        if not 1 <= self.rank <= min(dims):
-            raise UsageError(
-                f"rank must be in [1, {min(dims)}] for dims {dims}, got {self.rank}"
-            )
-        if self.noise_sigma < 0:
-            raise UsageError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        check_scalar("rank", self.rank, 1, min(dims), integer=True)
+        check_scalar("noise_sigma", self.noise_sigma, 0)
+        check_scalar("seed", self.seed, 0, integer=True)
 
 
 def _rng(seed):
@@ -71,8 +67,8 @@ def _count(rate, n):
 def rm_mask(dims, missing_rate, seed):
     """Random-missing mask: exactly round(rate * n) entries unobserved,
     drawn uniformly without replacement."""
-    if not 0.0 <= missing_rate <= 1.0:
-        raise UsageError(f"missing_rate must be in [0, 1], got {missing_rate}")
+    check_scalar("missing_rate", missing_rate, 0, 1)
+    check_scalar("seed", seed, 0, integer=True)
     n1, n2, n3 = dims
     n = n1 * n2 * n3
     k = _count(missing_rate, n)
@@ -90,8 +86,8 @@ def nm_mask(dims, missing_rate, seed):
     and all n2 entries of each are marked missing, so the achieved missing
     fraction is within one fiber of the target.
     """
-    if not 0.0 <= missing_rate <= 1.0:
-        raise UsageError(f"missing_rate must be in [0, 1], got {missing_rate}")
+    check_scalar("missing_rate", missing_rate, 0, 1)
+    check_scalar("seed", seed, 0, integer=True)
     n1, n2, n3 = dims
     fibers = n1 * n3
     k = _count(missing_rate, fibers)

@@ -87,9 +87,7 @@ def read_tensor(path):
             f"{path}: expected {8 * count} value bytes, found {len(body)}"
         )
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise InputError(f"{path}: tensor contains non-finite values")
-    return values.reshape(dims, order="F")
+    return check_tensor(values.reshape(dims, order="F"), f"{path}: tensor")
 
 
 def write_mask(path, mask):
@@ -110,10 +108,8 @@ def read_mask(path):
         raise InputError(
             f"{path}: expected {count} mask bytes, found {len(body)}"
         )
-    flags = np.frombuffer(body, dtype=np.uint8)
-    if not np.all((flags == 0) | (flags == 1)):
-        raise InputError(f"{path}: mask bytes must be 0 or 1")
-    return flags.astype(np.float64).reshape(dims, order="F")
+    flags = np.frombuffer(body, dtype=np.uint8).reshape(dims, order="F")
+    return check_mask(flags, name=f"{path}: mask")
 
 
 def ingest_csv(path, dims):
@@ -158,8 +154,6 @@ def ingest_csv(path, dims):
                     f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: "
                     f"{cell!r}"
                 ) from exc
-    if not np.all(np.isfinite(values)):
-        raise InputError(f"{path}: non-finite cell value")
-    tensor = values.reshape((n1, n2, n3), order="F")
+    tensor = check_tensor(values.reshape((n1, n2, n3), order="F"), f"{path}: tensor")
     mask = flags.reshape((n1, n2, n3), order="F")
     return tensor, mask

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UsageError
-from .tensor import check_mask, check_tensor
+from .errors import InputError
+from .tensor import check_mask, check_scalar, check_tensor
 
 ZERO_TRUTH_CUTOFF = 1e-9
 
@@ -66,8 +66,7 @@ def anomaly_score(e_hat, omega_c, threshold):
     precision is 1 when nothing is predicted, recall is 1 when omega_c is
     empty, and F1 is 0 when precision + recall is 0.
     """
-    if threshold < 0:
-        raise UsageError(f"threshold must be >= 0, got {threshold}")
+    check_scalar("threshold", threshold, 0)
     e_hat = check_tensor(e_hat, "e_hat")
     omega_c = check_mask(omega_c, e_hat.shape, name="omega_c")
     predicted = np.abs(e_hat) > threshold

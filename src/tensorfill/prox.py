@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UsageError
+from .tensor import check_scalar
 
 DEFAULT_EPSILON = 1e-6
 
@@ -69,10 +70,8 @@ class LogRule:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if not self.tau >= 0:
-            raise UsageError(f"tau must be >= 0, got {self.tau}")
-        if not self.epsilon > 0:
-            raise UsageError(f"epsilon must be > 0, got {self.epsilon}")
+        check_scalar("tau", self.tau, 0)
+        check_scalar("epsilon", self.epsilon, 0, open_low=True)
 
     def thresholds(self, sigma, sigma_prev=None):
         """tau / (base + epsilon), with base the previous iterate's spectrum
@@ -99,10 +98,8 @@ class TruncatedRule:
     r: int = 0
 
     def __post_init__(self):
-        if not self.tau >= 0:
-            raise UsageError(f"tau must be >= 0, got {self.tau}")
-        if self.r < 0:
-            raise UsageError(f"r must be >= 0, got {self.r}")
+        check_scalar("tau", self.tau, 0)
+        check_scalar("r", self.r, 0, integer=True)
 
     def thresholds(self, sigma, sigma_prev=None):
         """0 on the first ``r`` values and tau on the rest; requires
@@ -173,7 +170,6 @@ def apply_shrinkage(z, rule, sigma_prev=None):
 
 def soft_threshold(h, kappa):
     """Elementwise sgn(h) * max(|h| - kappa, 0)."""
-    if kappa < 0:
-        raise UsageError(f"kappa must be >= 0, got {kappa}")
+    check_scalar("kappa", kappa, 0)
     h = np.asarray(h, dtype=np.float64)
     return np.sign(h) * np.maximum(np.abs(h) - kappa, 0.0)

@@ -52,7 +52,8 @@ from .prox import (
 )
 # apply_constraint is no longer called by the loop; it stays importable here
 # because perfbench wraps the layer functions under their solvers names.
-from .tensor import apply_constraint, check_mask, check_tensor, fold, unfold  # noqa: F401
+from .tensor import (apply_constraint, check_mask, check_scalar,  # noqa: F401
+                     check_tensor, fold, unfold)
 
 # The one map from a method to its shrinkage rule.  ``complete`` calls the
 # entry once per mode k with tau_k = alpha_k / rho and the truncation count
@@ -66,10 +67,6 @@ RULES = {
 }
 METHODS = tuple(RULES)
 
-DEFAULT_RHO = 1e-4
-DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITERS = 200
-
 
 def default_lambda(dims):
     """Sparsity weight 1/sqrt(max(n1, n2*n3)), the usual robust-PCA scaling."""
@@ -78,7 +75,8 @@ def default_lambda(dims):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shared configuration for all completion methods.
+    """Shared configuration for all completion methods; every scalar field
+    is checked by :func:`tensor.check_scalar` when the config is built.
 
     ``lam`` (the sparsity weight of the robust method) defaults to None,
     meaning :func:`default_lambda` of the input dims is used at run time.
@@ -88,41 +86,31 @@ class SolverConfig:
 
     method: str
     alpha: tuple = (1 / 3, 1 / 3, 1 / 3)
-    rho: float = DEFAULT_RHO
+    rho: float = 1e-4
     lam: float = None
     epsilon: float = DEFAULT_EPSILON
-    tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
+    tol: float = 1e-6
+    max_iters: int = 200
     truncation_rate: float = 0.0
     threads: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise UsageError(f"unknown method {self.method!r}")
-        alpha = tuple(float(a) for a in self.alpha)
-        if len(alpha) != 3:
+        if np.ndim(self.alpha) != 1 or len(self.alpha) != 3:
             raise UsageError("alpha must have exactly 3 components")
-        if not all(math.isfinite(a) and a >= 0 for a in alpha):
-            raise UsageError(
-                f"alpha components must be finite and >= 0, got {alpha}"
-            )
+        alpha = tuple(float(check_scalar("alpha component", a, 0))
+                      for a in self.alpha)
         if abs(sum(alpha) - 1.0) > 1e-12:
             raise UsageError(f"alpha must sum to 1, got {sum(alpha)!r}")
         object.__setattr__(self, "alpha", alpha)
-        positive = {"rho": self.rho, "epsilon": self.epsilon, "tol": self.tol}
+        for name in ("rho", "epsilon", "tol"):
+            check_scalar(name, getattr(self, name), 0, open_low=True)
         if self.lam is not None:
-            positive["lambda"] = self.lam
-        for name, value in positive.items():
-            if not (math.isfinite(value) and value > 0):
-                raise UsageError(f"{name} must be finite and > 0, got {value}")
-        if self.max_iters < 1:
-            raise UsageError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0.0 <= self.truncation_rate < 1.0:
-            raise UsageError(
-                f"truncation_rate must be in [0, 1), got {self.truncation_rate}"
-            )
-        if self.threads < 1:
-            raise UsageError(f"threads must be >= 1, got {self.threads}")
+            check_scalar("lambda", self.lam, 0, open_low=True)
+        check_scalar("max_iters", self.max_iters, 1, integer=True)
+        check_scalar("truncation_rate", self.truncation_rate, 0, 1, open_high=True)
+        check_scalar("threads", self.threads, 1, integer=True)
 
 
 @dataclass

@@ -1,13 +1,18 @@
-"""Dense third-order tensor primitives: unfolding, folding, and the data constraint.
+"""Dense third-order tensor primitives: unfolding, folding, the data
+constraint, and the checks every module uses: of tensors and masks
+(InputError) and of each scalar parameter (UsageError, :func:`check_scalar`).
 
 The mode-k unfolding of ``x`` with shape ``(n1, n2, n3)`` is the matrix whose
 rows are indexed by mode k and whose columns enumerate the remaining two modes
 with the lower-numbered mode varying fastest.  Folding is the exact inverse.
 """
 
+import math
+import numbers
+
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, UsageError
 
 
 def check_tensor(x, name="tensor"):
@@ -41,6 +46,26 @@ def check_mask(mask, shape=None, name="mask"):
             f"{name} shape {arr.shape} does not match tensor shape {tuple(shape)}"
         )
     return arr
+
+
+def check_scalar(name, value, low, high=math.inf, *, integer=False,
+                 open_low=False, open_high=False):
+    """Return ``value`` if it is a finite real number, an integer when
+    ``integer``, and never a bool, inside the interval from ``low`` to
+    ``high`` (each end closed unless ``open_low``/``open_high``); raise
+    UsageError otherwise."""
+    if not (
+        isinstance(value, numbers.Integral if integer else numbers.Real)
+        and not isinstance(value, bool)
+        and -math.inf < value < math.inf
+        and (low < value if open_low else low <= value)
+        and (value < high if open_high else value <= high)
+    ):
+        interval = (f"{'(' if open_low else '['}{low:g}, {high:g}"
+                    f"{')' if open_high or high == math.inf else ']'}")
+        kind = "an integer" if integer else "a finite number"
+        raise UsageError(f"{name} must be {kind} in {interval}, got {value!r}")
+    return value
 
 
 def unfold(x, mode):

@@ -12,6 +12,7 @@ from tensorfill.cli import _load_manifest, main
 from tensorfill.datagen import SyntheticSpec, synthesize
 from tensorfill.errors import TensorfillError
 from tensorfill.io import ingest_csv, read_mask, read_tensor, write_mask, write_tensor
+from tensorfill.solvers import SolverConfig, complete
 
 
 def run(*argv):
@@ -97,6 +98,24 @@ def test_corrupt_count_reported(tmp_path, capsys):
     assert read_mask(omega).sum() == expected
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["synth", "corrupt"])
+def test_non_finite_generator_parameter_is_usage_error(tmp_path, capsys, command, value):
+    """synth --noise and corrupt --s reject NaN and infinity, writing nothing."""
+    y, m = _pipeline_files(tmp_path)
+    out = tmp_path / "out.tns"
+    if command == "synth":
+        argv = ("synth", "--dims", "8,7,6", "--rank", "2", "--noise", value, "-o", out)
+    else:
+        argv = ("corrupt", "--tensor", y, "--mask", m, "--gamma", "0.1",
+                "--s", value, "-o", out, "--omega-out", tmp_path / "oc.msk")
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_corrupt_missing_input_is_input_error(tmp_path):
     _, m = _pipeline_files(tmp_path)
     assert run("corrupt", "--tensor", tmp_path / "nope.tns", "--mask", m,
@@ -134,6 +153,11 @@ def test_complete_writes_manifest_schema(tmp_path):
     assert roles == {"tensor", "mask"}
     for entry in manifest["inputs"] + manifest["outputs"]:
         assert len(entry["sha256"]) == 64
+    # the flags default to the library's values, so the bits match the API
+    api = complete(read_tensor(y), read_mask(m),
+                   SolverConfig("tcpfnc", rho=1e-3, max_iters=10))
+    assert tuple(manifest["config"]["alpha"]) == SolverConfig("tcpfnc").alpha
+    np.testing.assert_array_equal(read_tensor(rec), api.recovered)
 
 
 def test_complete_robust_emits_anomaly_file(tmp_path):
@@ -306,11 +330,15 @@ def test_rerun_manifest_without_inputs_is_input_error(tmp_path, capsys):
 
 
 def test_rerun_mistyped_config_value_is_input_error(tmp_path, capsys):
-    def edit(manifest):
-        manifest["config"]["rho"] = "fast"
+    """A recorded config value of the wrong type or out of range is input."""
+    for key, value in (("rho", "fast"), ("max_iters", 2.5), ("threads", True),
+                       ("rho", -1)):
+        def edit(manifest):
+            manifest["config"][key] = value
 
-    assert _rerun_edited(tmp_path, edit) == 3
-    assert "bad config value" in capsys.readouterr().err
+        assert _rerun_edited(tmp_path, edit) == 3
+        err = capsys.readouterr().err
+        assert "bad config value" in err and "Traceback" not in err
 
 
 def test_complete_malformed_threads_env_is_usage_error(tmp_path, monkeypatch, capsys):

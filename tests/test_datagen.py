@@ -63,6 +63,9 @@ def test_mask_rate_validation():
         rm_mask((3, 3, 3), 1.5, 0)
     with pytest.raises(UsageError):
         nm_mask((3, 3, 3), -0.1, 0)
+    for bad_seed in (-1, 1.5, None):
+        with pytest.raises(UsageError):
+            rm_mask((3, 3, 3), 0.5, bad_seed)
 
 
 def test_corrupt_count_and_containment():
@@ -168,3 +171,11 @@ def test_synthetic_spec_validation():
         CorruptionSpec(gamma=1.5, s=1.0, seed=0)
     with pytest.raises(UsageError):
         CorruptionSpec(gamma=0.5, s=-1.0, seed=0)
+    for bad in ({"rank": 1.5}, {"noise_sigma": np.nan}, {"noise_sigma": np.inf},
+                {"seed": 1.5}):
+        with pytest.raises(UsageError):
+            SyntheticSpec(**{"dims": (4, 4, 4), "rank": 2, **bad})
+    # U(-s, s) needs 2s to be finite
+    for bad in ({"s": np.nan}, {"s": np.inf}, {"s": 1e308}, {"seed": 1.5}):
+        with pytest.raises(UsageError):
+            CorruptionSpec(**{"gamma": 0.5, "s": 1.0, "seed": 0, **bad})

@@ -219,6 +219,11 @@ def test_rules_reject_invalid_parameters():
         lambda: LogRule(1.0, epsilon=0.0),
         lambda: TruncatedRule(-1.0),
         lambda: TruncatedRule(1.0, -1),
+        lambda: LogRule(np.inf),
+        lambda: LogRule(1.0, epsilon=np.inf),
+        lambda: TruncatedRule(1.0, r=1.5),
+        lambda: TruncatedRule(1.0, r=True),
+        lambda: soft_threshold(np.ones(2), np.nan),
     ):
         with pytest.raises(UsageError):
             make()

@@ -238,6 +238,11 @@ def test_config_validation():
                     {"epsilon": value}, {"alpha": (value, 0.5, 0.5)}):
             with pytest.raises(UsageError):
                 SolverConfig("rtcpfnc", **bad)
+    for bad in ({"max_iters": 2.5}, {"max_iters": True}, {"threads": True},
+                {"threads": 1.5}, {"truncation_rate": 1.0}, {"rho": "fast"},
+                {"alpha": (True, False, False)}, {"alpha": 1.0}):
+        with pytest.raises(UsageError):
+            SolverConfig("tnn", **bad)
 
 
 def test_default_lambda_formula():

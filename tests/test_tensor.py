@@ -1,12 +1,28 @@
 """Structural tests: unfolding, folding, the data constraint, validation."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tensorfill.errors import InputError
+from tensorfill import (
+    CorruptionSpec,
+    LogRule,
+    SolverConfig,
+    SyntheticSpec,
+    TruncatedRule,
+    anomaly_score,
+    complete,
+    corrupt,
+    nm_mask,
+    rm_mask,
+    soft_threshold,
+    synthesize,
+)
+from tensorfill.errors import InputError, UsageError
 from tensorfill.tensor import (
     apply_constraint,
     check_mask,
@@ -114,3 +130,71 @@ def test_apply_constraint_sets_observed_keeps_missing():
     out = apply_constraint(m, y_obs, mask)
     np.testing.assert_array_equal(out[mask == 1.0], y_obs[mask == 1.0])
     np.testing.assert_array_equal(out[mask == 0.0], m[mask == 0.0])
+
+
+# Every scalar parameter of the public constructors and functions, each
+# called with one JSON-like value and then used on a tiny input: a 2x2x2
+# tensor, a short spectrum, or a 2-iteration solve (tol 1e300 ends a solve
+# with a large max_iters at its second iteration too).
+Y = np.arange(1.0, 9.0).reshape(2, 2, 2)
+MASK = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0]).reshape(2, 2, 2)
+SIGMA = np.array([4.0, 2.0, 1.0, 0.0])
+
+
+def _solve(**fields):
+    cfg = SolverConfig(**{"method": "rtcpfnc", "max_iters": 2, "tol": 1e300, **fields})
+    complete(Y, MASK, cfg)
+
+
+def _use_rule(rule):
+    rule.thresholds(SIGMA, SIGMA[::-1])
+    rule.penalty(SIGMA)
+
+
+PARAMETERS = {
+    "SolverConfig.method": lambda v: _solve(method=v),
+    "SolverConfig.alpha": lambda v: _solve(alpha=v),
+    "SolverConfig.alpha[0]": lambda v: _solve(alpha=(v, 0.5, 0.5)),
+    "SolverConfig.rho": lambda v: _solve(rho=v),
+    "SolverConfig.lam": lambda v: _solve(lam=v),
+    "SolverConfig.epsilon": lambda v: _solve(epsilon=v),
+    "SolverConfig.tol": lambda v: _solve(tol=v),
+    "SolverConfig.max_iters": lambda v: _solve(max_iters=v),
+    "SolverConfig.truncation_rate": lambda v: _solve(method="tnn", truncation_rate=v),
+    "SolverConfig.threads": lambda v: _solve(threads=v),
+    "LogRule.tau": lambda v: _use_rule(LogRule(v)),
+    "LogRule.epsilon": lambda v: _use_rule(LogRule(1.0, v)),
+    "TruncatedRule.tau": lambda v: _use_rule(TruncatedRule(v)),
+    "TruncatedRule.r": lambda v: _use_rule(TruncatedRule(1.0, v)),
+    "SyntheticSpec.rank": lambda v: synthesize(SyntheticSpec((3, 3, 3), v)),
+    "SyntheticSpec.noise_sigma": lambda v: synthesize(SyntheticSpec((3, 3, 3), 1, v)),
+    "SyntheticSpec.seed": lambda v: synthesize(SyntheticSpec((3, 3, 3), 1, 0.1, v)),
+    "CorruptionSpec.gamma": lambda v: corrupt(Y, MASK, CorruptionSpec(v, 1.0, 0)),
+    "CorruptionSpec.s": lambda v: corrupt(Y, MASK, CorruptionSpec(0.5, v, 0)),
+    "CorruptionSpec.seed": lambda v: corrupt(Y, MASK, CorruptionSpec(0.5, 1.0, v)),
+    "rm_mask.missing_rate": lambda v: rm_mask((2, 2, 2), v, 0),
+    "rm_mask.seed": lambda v: rm_mask((2, 2, 2), 0.5, v),
+    "nm_mask.missing_rate": lambda v: nm_mask((2, 2, 2), v, 0),
+    "nm_mask.seed": lambda v: nm_mask((2, 2, 2), 0.5, v),
+    "soft_threshold.kappa": lambda v: soft_threshold(Y, v),
+    "anomaly_score.threshold": lambda v: anomaly_score(Y, MASK, v),
+}
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6))
+
+
+@pytest.mark.parametrize("parameter", sorted(PARAMETERS))
+@given(value=JSON_SCALARS)
+@example(value=-0.0)
+@settings(max_examples=60, deadline=None)
+def test_every_parameter_is_accepted_or_a_usage_error(parameter, value):
+    """Any value is either rejected with UsageError or works; a bool or a
+    NaN or infinite float is never accepted."""
+    try:
+        PARAMETERS[parameter](value)
+    except UsageError:
+        return
+    never_valid = isinstance(value, bool) or (
+        isinstance(value, float) and not math.isfinite(value)
+    )
+    assert not never_valid, f"{parameter} accepted {value!r}"
