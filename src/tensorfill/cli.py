@@ -17,8 +17,16 @@ eval
 ingest
     Convert a location-by-time CSV matrix into a TNS1 tensor and MSK1 mask.
 rerun
-    Re-execute the completion step recorded in a manifest, verify input
-    hashes, and check that the evaluation reproduces the same CSV row.
+    Replay the run a manifest records through the code of ``complete`` and
+    ``eval``, and check that the outputs and the CSV row reproduce.
+
+Outputs never overwrite inputs: ``complete`` exits 2, before it reads or
+writes anything, when ``-o``, the anomaly path or ``--manifest`` names the
+same file as another of them or as ``--tensor`` or ``--mask``.  ``rerun``
+verifies every recorded hash (the inputs and the eval truth and mask)
+before it writes anything, and exits 2 with every file untouched when a
+replayed output under ``--workdir`` would land on the manifest, on a file
+it records, or on another replayed output.
 
 Exit codes: 0 success, 2 usage error, 3 input/format error, 4 numeric
 error.  A failed rerun comparison exits 1.  The ``--threads`` flag of
@@ -58,6 +66,7 @@ from .io import (
 )
 from .metrics import evaluate
 from .solvers import METHODS, SolverConfig, complete, default_lambda
+from .tensor import check_dims
 
 CSV_HEADER = "method,dims,pattern,rate,gamma,seed,mape,rmse,iters"
 MANIFEST_VERSION = 1
@@ -68,23 +77,19 @@ MANIFEST_KEYS = {"method": str, "config": dict, "inputs": list, "outputs": list,
                  "iterations": int, "eval": (dict, type(None)),
                  "csv_row": (str, type(None))}
 FILE_KEYS = {"role": str, "path": str, "sha256": str}
-EVAL_KEYS = {"truth": dict, "mask": dict, "on_observed": bool, "pattern": str,
-             "rate": NUMBER, "gamma": NUMBER, "seed": int}
+# The labels of an eval record: the keyword arguments of _score.
+EVAL_LABELS = {"on_observed": bool, "pattern": str, "rate": NUMBER,
+               "gamma": NUMBER, "seed": int}
+EVAL_KEYS = {"truth": dict, "mask": dict, **EVAL_LABELS}
 CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SolverConfig))
 
 
 def _parse_dims(text):
     """Parse ``"n1,n2,n3"`` into a tuple of three positive ints."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"expected three comma-separated dims, got {text!r}")
     try:
-        dims = tuple(int(p) for p in parts)
+        return check_dims([int(p) for p in text.split(",")])
     except ValueError:
         raise UsageError(f"dims must be integers, got {text!r}")
-    if any(d <= 0 for d in dims):
-        raise UsageError(f"dims must be positive, got {text!r}")
-    return dims
 
 
 def _parse_alpha(text):
@@ -132,21 +137,10 @@ def _fmt_float(value):
 
 
 def format_csv_row(method, dims, pattern, rate, gamma, seed, mape, rmse, iters):
-    """Render the single report row used by ``eval`` and ``rerun``."""
-    dims_text = "x".join(str(d) for d in dims)
-    return ",".join(
-        [
-            method,
-            dims_text,
-            pattern,
-            f"{rate:g}",
-            f"{gamma:g}",
-            str(seed),
-            _fmt_float(mape),
-            _fmt_float(rmse),
-            str(iters),
-        ]
-    )
+    """Render the single report row of ``eval`` and ``rerun``."""
+    return ",".join([method, "x".join(str(d) for d in dims), pattern,
+                     f"{rate:g}", f"{gamma:g}", str(seed), _fmt_float(mape),
+                     _fmt_float(rmse), str(iters)])
 
 
 def _write_json(path, payload):
@@ -156,7 +150,8 @@ def _write_json(path, payload):
 
 def _require(record, keys, where):
     """Raise InputError unless ``record`` is a JSON object holding ``keys``,
-    a mapping of each key to the type (or types) of its value."""
+    a mapping of each key to the type (or types) of its value, and the path
+    of a file record holds no NUL byte (no file name can)."""
     if not isinstance(record, dict):
         raise InputError(f"{where} is not a JSON object")
     missing = [k for k in keys if k not in record]
@@ -165,6 +160,8 @@ def _require(record, keys, where):
     mistyped = [k for k, kind in keys.items() if not isinstance(record[k], kind)]
     if mistyped:
         raise InputError(f"{where}: {', '.join(mistyped)} of the wrong type")
+    if keys is FILE_KEYS and "\0" in record["path"]:
+        raise InputError(f"{where}: path contains a NUL byte")
 
 
 def _load_manifest(path):
@@ -201,7 +198,7 @@ def _load_manifest(path):
     return manifest
 
 
-def _solver_config(args, lam):
+def _solver_config(args):
     threads = args.threads
     if threads is None:
         text = os.environ.get("TENSORFILL_THREADS", "1")
@@ -213,7 +210,7 @@ def _solver_config(args, lam):
         method=args.method,
         alpha=_parse_alpha(args.alpha),
         rho=args.rho,
-        lam=lam,
+        lam=args.lam,
         tol=args.tol,
         max_iters=args.max_iters,
         truncation_rate=args.trunc_rate,
@@ -264,35 +261,61 @@ def cmd_corrupt(args):
     return 0
 
 
-def cmd_complete(args):
-    lam = args.lam
-    tensor = read_tensor(args.tensor)
-    mask = read_mask(args.mask)
-    cfg = _solver_config(args, lam)
-    inputs = [_file_entry("tensor", args.tensor), _file_entry("mask", args.mask)]
+def _check_targets(written, kept):
+    """Raise UsageError if a (label, path) pair of ``written`` names the
+    same file as another one or as a pair of ``kept``."""
+    claimed = {os.path.realpath(path): label for label, path in kept}
+    for label, path in written:
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise UsageError(f"{label} would overwrite {claimed[real]} ({path})")
+        claimed[real] = label
 
+
+def _solve_and_write(cfg, inputs, outputs, written=(), kept=()):
+    """The one solve-and-write step of ``complete`` and ``rerun``.
+
+    Reads the tensor and mask at the paths ``inputs`` maps those roles to,
+    runs :func:`complete`, and writes each (role, path) pair of ``outputs``
+    (recovered, anomaly).  Before anything is read, exits through
+    :func:`_check_targets` if an output would land on an input, on a
+    (label, path) pair of ``kept``, on another output or on a pair of
+    ``written`` (files the caller writes).  Returns the result, the output
+    file records and the solve's wall-clock seconds.
+    """
+    _check_targets([*outputs, *written], [*inputs.items(), *kept])
+    tensor = read_tensor(inputs["tensor"])
+    mask = read_mask(inputs["mask"])
     start = time.perf_counter()
     result = complete(tensor, mask, cfg)
     wall = time.perf_counter() - start
+    records = []
+    for role, path in outputs:
+        write_tensor(path, result.recovered if role == "recovered" else result.anomaly)
+        records.append(_file_entry(role, path))
+    return result, records, wall
 
-    write_tensor(args.out, result.recovered)
-    outputs = [_file_entry("recovered", args.out)]
+
+def cmd_complete(args):
+    cfg = _solver_config(args)
+    outputs = [("recovered", args.out)]
     if cfg.method == "rtcpfnc":
-        anomaly_path = args.anomaly_out
-        if anomaly_path is None:
-            root, ext = os.path.splitext(args.out)
-            anomaly_path = root + ".anomaly" + ext
-        write_tensor(anomaly_path, result.anomaly)
-        outputs.append(_file_entry("anomaly", anomaly_path))
+        root, ext = os.path.splitext(args.out)
+        outputs.append(("anomaly", root + ".anomaly" + ext
+                        if args.anomaly_out is None else args.anomaly_out))
+    inputs = {"tensor": args.tensor, "mask": args.mask}
+    result, records, wall = _solve_and_write(
+        cfg, inputs, outputs, written=[("manifest", args.manifest)])
 
-    resolved_lam = cfg.lam if cfg.lam is not None else default_lambda(tensor.shape)
+    shape = result.recovered.shape
+    resolved_lam = cfg.lam if cfg.lam is not None else default_lambda(shape)
     manifest = {
         "manifest_version": MANIFEST_VERSION,
         "tool": "tensorfill",
         "method": cfg.method,
         "config": dataclasses.asdict(dataclasses.replace(cfg, lam=resolved_lam)),
-        "inputs": inputs,
-        "outputs": outputs,
+        "inputs": [_file_entry(role, path) for role, path in inputs.items()],
+        "outputs": records,
         "wall_clock_sec": wall,
         "iterations": result.iterations,
         "converged": result.converged,
@@ -307,41 +330,31 @@ def cmd_complete(args):
     return 0
 
 
-def _run_eval(truth, recovered, mask, on_observed):
-    eval_set = mask.astype(bool) if on_observed else (1.0 - mask).astype(bool)
-    return evaluate(truth, recovered, eval_set)
+def _score(truth_path, mask_path, recovered, method, iters, *, on_observed,
+           pattern, rate, gamma, seed):
+    """The one score-and-row step of ``eval`` and ``rerun``: score
+    ``recovered`` against the truth on the held-out entries of the mask (the
+    observed ones if ``on_observed``) and render the CSV row from the
+    labels.  Returns the report and the row."""
+    truth = read_tensor(truth_path)
+    mask = read_mask(mask_path)
+    eval_set = mask if on_observed else 1.0 - mask
+    report = evaluate(truth, recovered, eval_set.astype(bool))
+    row = format_csv_row(method, truth.shape, pattern, rate, gamma, seed,
+                         report.mape, report.rmse, iters)
+    return report, row
 
 
 def cmd_eval(args):
-    truth = read_tensor(args.truth)
     recovered = read_tensor(args.recovered)
-    mask = read_mask(args.mask)
-    report = _run_eval(truth, recovered, mask, args.on_observed)
-
-    method, iters = "-", 0
-    manifest = None
+    method, iters, manifest = "-", 0, None
     if args.manifest is not None:
         manifest = _load_manifest(args.manifest)
-        method = manifest["method"]
-        iters = manifest["iterations"]
+        method, iters = manifest["method"], manifest["iterations"]
+    labels = {key: getattr(args, key) for key in EVAL_LABELS}
+    report, row = _score(args.truth, args.mask, recovered, method, iters, **labels)
 
-    row = format_csv_row(
-        method,
-        truth.shape,
-        args.pattern,
-        args.rate,
-        args.gamma,
-        args.seed,
-        report.mape,
-        report.rmse,
-        iters,
-    )
-    payload = {
-        "mape": report.mape,
-        "rmse": report.rmse,
-        "n_evaluated": report.n_evaluated,
-        "n_excluded_zero": report.n_excluded_zero,
-    }
+    payload = dataclasses.asdict(report)
     if args.json_out is not None:
         _write_json(args.json_out, payload)
     if args.csv_out is not None:
@@ -350,11 +363,7 @@ def cmd_eval(args):
         manifest["eval"] = {
             "truth": _file_entry("truth", args.truth),
             "mask": _file_entry("mask", args.mask),
-            "on_observed": args.on_observed,
-            "pattern": args.pattern,
-            "rate": args.rate,
-            "gamma": args.gamma,
-            "seed": args.seed,
+            **labels,
             "report": payload,
         }
         manifest["csv_row"] = row
@@ -375,49 +384,36 @@ def cmd_ingest(args):
 
 def cmd_rerun(args):
     manifest = _load_manifest(args.manifest)
-    for entry in manifest["inputs"]:
+    info = manifest["eval"]
+    scored = [] if info is None else [info["truth"], info["mask"]]
+    for entry in manifest["inputs"] + scored:
         _verify_entry(entry)
-
     try:
         cfg = SolverConfig(**manifest["config"])
     except (UsageError, TypeError, ValueError) as exc:
         raise InputError(f"manifest {args.manifest}: bad config value: {exc}")
-    paths = {e["role"]: e["path"] for e in manifest["inputs"]}
-    tensor = read_tensor(paths["tensor"])
-    mask = read_mask(paths["mask"])
-    result = complete(tensor, mask, cfg)
 
     workdir = args.workdir
     try:
         os.makedirs(workdir, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create {workdir}: {exc}")
-    for entry in manifest["outputs"]:
-        out_path = os.path.join(workdir, os.path.basename(entry["path"]))
-        data = result.recovered if entry["role"] == "recovered" else result.anomaly
-        write_tensor(out_path, data)
-        if _sha256(out_path) != entry["sha256"]:
+    recorded = manifest["outputs"]
+    replay = [(e["role"], os.path.join(workdir, os.path.basename(e["path"])))
+              for e in recorded]
+    kept = [(f"recorded {e['role']}", e["path"]) for e in recorded + scored]
+    result, outputs, _ = _solve_and_write(
+        cfg, {e["role"]: e["path"] for e in manifest["inputs"]}, replay,
+        kept=kept + [("manifest", args.manifest)])
+    for entry, output in zip(recorded, outputs):
+        if output["sha256"] != entry["sha256"]:
             print(f"rerun: output {entry['role']} differs")
             return 1
 
-    if manifest["eval"] is not None:
-        info = manifest["eval"]
-        _verify_entry(info["truth"])
-        _verify_entry(info["mask"])
-        truth = read_tensor(info["truth"]["path"])
-        eval_mask = read_mask(info["mask"]["path"])
-        report = _run_eval(truth, result.recovered, eval_mask, info["on_observed"])
-        row = format_csv_row(
-            manifest["method"],
-            truth.shape,
-            info["pattern"],
-            info["rate"],
-            info["gamma"],
-            info["seed"],
-            report.mape,
-            report.rmse,
-            result.iterations,
-        )
+    if info is not None:
+        _, row = _score(info["truth"]["path"], info["mask"]["path"],
+                        result.recovered, manifest["method"], result.iterations,
+                        **{key: info[key] for key in EVAL_LABELS})
         print(f"recorded: {manifest['csv_row']}")
         print(f"rerun:    {row}")
         if row != manifest["csv_row"]:

@@ -1,20 +1,19 @@
 """Reproducible experiment inputs: missing masks, sparse corruption, synthetics.
 
 Everything here is a pure function of its arguments and an integer seed
->= 0, each scalar checked by :func:`tensor.check_scalar` (UsageError if
-bad).  The generator is Philox (counter-based), so streams are stable
-across platforms and numpy releases of the same major line.  Fractional
-counts round half to even.  Linear entry order is always
-first-index-fastest, matching the on-disk layout, so drawn index sets are
-stable too.
+>= 0, each scalar checked by :func:`tensor.check_scalar` and the dims by
+:func:`tensor.check_dims` (UsageError if bad).  The generator is Philox
+(counter-based), so streams are stable across platforms and numpy
+releases of the same major line.  Fractional counts round half to even.
+Linear entry order is always first-index-fastest, matching the on-disk
+layout, so drawn index sets are stable too.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
-from .tensor import check_mask, check_scalar, check_tensor
+from .tensor import check_dims, check_mask, check_scalar, check_tensor
 
 
 @dataclass(frozen=True)
@@ -46,9 +45,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or min(dims) < 1:
-            raise UsageError(f"dims must be three positive integers, got {self.dims}")
+        dims = check_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         check_scalar("rank", self.rank, 1, min(dims), integer=True)
         check_scalar("noise_sigma", self.noise_sigma, 0)
@@ -67,9 +64,9 @@ def _count(rate, n):
 def rm_mask(dims, missing_rate, seed):
     """Random-missing mask: exactly round(rate * n) entries unobserved,
     drawn uniformly without replacement."""
+    n1, n2, n3 = dims = check_dims(dims)
     check_scalar("missing_rate", missing_rate, 0, 1)
     check_scalar("seed", seed, 0, integer=True)
-    n1, n2, n3 = dims
     n = n1 * n2 * n3
     k = _count(missing_rate, n)
     flat = np.ones(n)
@@ -86,9 +83,9 @@ def nm_mask(dims, missing_rate, seed):
     and all n2 entries of each are marked missing, so the achieved missing
     fraction is within one fiber of the target.
     """
+    n1, n2, n3 = dims = check_dims(dims)
     check_scalar("missing_rate", missing_rate, 0, 1)
     check_scalar("seed", seed, 0, integer=True)
-    n1, n2, n3 = dims
     fibers = n1 * n3
     k = _count(missing_rate, fibers)
     mask = np.ones(dims)

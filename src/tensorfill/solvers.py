@@ -172,6 +172,11 @@ def complete(y, mask, cfg, iter_hook=None):
     robust = cfg.method == "rtcpfnc"
     rho = cfg.rho
     lam = cfg.lam if cfg.lam is not None else default_lambda(dims)
+    # the thresholds alpha_k / rho and, robust only, lam / rho must be finite
+    for name, weight in (("alpha_k", max(cfg.alpha)),
+                         ("lambda", lam if robust else 0.0)):
+        if not math.isfinite(weight / float(rho)):
+            raise UsageError(f"rho={rho!r} is too small: {name} / rho is not finite")
     rules = [
         RULES[cfg.method](
             cfg,

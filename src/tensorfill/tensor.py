@@ -1,6 +1,7 @@
 """Dense third-order tensor primitives: unfolding, folding, the data
 constraint, and the checks every module uses: of tensors and masks
-(InputError) and of each scalar parameter (UsageError, :func:`check_scalar`).
+(InputError), and of each scalar parameter and of tensor dims (UsageError,
+:func:`check_scalar` and :func:`check_dims`).
 
 The mode-k unfolding of ``x`` with shape ``(n1, n2, n3)`` is the matrix whose
 rows are indexed by mode k and whose columns enumerate the remaining two modes
@@ -66,6 +67,14 @@ def check_scalar(name, value, low, high=math.inf, *, integer=False,
         kind = "an integer" if integer else "a finite number"
         raise UsageError(f"{name} must be {kind} in {interval}, got {value!r}")
     return value
+
+
+def check_dims(dims):
+    """Return ``dims``, a tuple or list of three integers >= 1 (never
+    bools), as a tuple; raise UsageError otherwise."""
+    if not isinstance(dims, (tuple, list)) or len(dims) != 3:
+        raise UsageError(f"dims must be three integers >= 1, got {dims!r}")
+    return tuple(int(check_scalar("dims entry", d, 1, integer=True)) for d in dims)
 
 
 def unfold(x, mode):

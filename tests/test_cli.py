@@ -388,11 +388,114 @@ def test_rerun_non_string_path_is_input_error(tmp_path, capsys):
     assert "path of the wrong type" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["inputs", "outputs"])
+def test_rerun_nul_in_path_is_input_error(tmp_path, capsys, key):
+    def edit(manifest):
+        manifest[key][0]["path"] += "\0"
+
+    assert _rerun_edited(tmp_path, edit) == 3
+    assert "NUL byte" in capsys.readouterr().err
+
+
 def test_rerun_unwritable_workdir_is_input_error(tmp_path):
     man = _recorded_run(tmp_path)
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert run("rerun", "--manifest", man, "--workdir", blocker / "w") == 3
+
+
+def _files(root):
+    """Every file under ``root`` with its bytes."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# Flags of complete that make an output land on an input or another output;
+# the defaults are -o rec.tns (anomaly rec.anomaly.tns) and --manifest man.json.
+COLLISIONS = [
+    {"-o": "y.tns"},
+    {"-o": "m.msk"},
+    {"-o": "sub/../y.tns"},
+    {"--anomaly-out": "y.tns"},
+    {"--anomaly-out": "m.msk"},
+    {"--anomaly-out": "rec.tns"},
+    {"--manifest": "y.tns"},
+    {"--manifest": "m.msk"},
+    {"--manifest": "rec.tns"},
+    {"--manifest": "rec.anomaly.tns"},
+    {"--anomaly-out": "a.tns", "--manifest": "a.tns"},
+]
+
+
+@pytest.mark.parametrize("flags", COLLISIONS, ids=lambda flags: ",".join(
+    f"{flag.lstrip('-')}={name}" for flag, name in flags.items()))
+def test_complete_output_collision_is_usage_error(tmp_path, capsys, flags):
+    """complete exits 2, and leaves every file as it was, when an output
+    names the same file as an input or as another output."""
+    y, m = _pipeline_files(tmp_path)
+    (tmp_path / "sub").mkdir()
+    before = _files(tmp_path)
+    paths = {"-o": "rec.tns", "--manifest": "man.json", **flags}
+    argv = [a for flag, name in paths.items() for a in (flag, tmp_path / name)]
+    assert run("complete", "--tensor", y, "--mask", m, "--method", "rtcpfnc",
+               "--max-iters", "2", *argv) == 2
+    assert "would overwrite" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
+def test_rerun_into_truth_directory_leaves_truth_untouched(tmp_path, capsys):
+    """The recovered tensor shares the truth's file name, so a replay into
+    the truth's directory would overwrite it: rerun exits 2 instead."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    out.mkdir()
+    y, m = _pipeline_files(data)
+    rec, man = out / "y.tns", out / "man.json"
+    run("complete", "--tensor", y, "--mask", m, "--method", "tcpfnc",
+        "--rho", "1e-3", "--max-iters", "5", "-o", rec, "--manifest", man)
+    run("eval", "--truth", y, "--recovered", rec, "--mask", m, "--manifest", man)
+    before = _files(tmp_path)
+    assert run("rerun", "--manifest", man, "--workdir", data) == 2
+    assert "would overwrite recorded truth" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
+def test_rerun_onto_recorded_outputs_is_usage_error(tmp_path):
+    man = _recorded_run(tmp_path)
+    before = _files(tmp_path)
+    assert run("rerun", "--manifest", man, "--workdir", tmp_path) == 2
+    assert _files(tmp_path) == before
+
+
+def test_rerun_outputs_sharing_a_path_is_usage_error(tmp_path, capsys):
+    """Outputs recorded in two directories under one name would replay onto
+    one path."""
+    y, m = _pipeline_files(tmp_path)
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+    man = tmp_path / "man.json"
+    run("complete", "--tensor", y, "--mask", m, "--method", "rtcpfnc",
+        "--rho", "1e-3", "--max-iters", "5", "-o", tmp_path / "a" / "r.tns",
+        "--anomaly-out", tmp_path / "b" / "r.tns", "--manifest", man)
+    assert run("rerun", "--manifest", man, "--workdir", tmp_path / "w") == 2
+    assert "anomaly would overwrite recovered" in capsys.readouterr().err
+    assert not (tmp_path / "w" / "r.tns").exists()
+
+
+def test_rerun_verifies_eval_files_before_writing(tmp_path):
+    man = _recorded_run(tmp_path)
+    truth = tmp_path / "y.tns"
+    write_tensor(truth, read_tensor(truth) + 1.0)
+    assert run("rerun", "--manifest", man, "--workdir", tmp_path / "replay") == 3
+    assert not (tmp_path / "replay").exists()
+
+
+def test_complete_rho_too_small_is_usage_error(tmp_path, capsys):
+    y, m = _pipeline_files(tmp_path)
+    assert run("complete", "--tensor", y, "--mask", m, "--method", "tcpfnc",
+               "--rho", "1e-310", "-o", tmp_path / "r.tns",
+               "--manifest", tmp_path / "man.json") == 2
+    err = capsys.readouterr().err
+    assert "rho=1e-310 is too small" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("content", [NOT_UTF8, b"1" * 200000],

@@ -66,6 +66,10 @@ def test_mask_rate_validation():
     for bad_seed in (-1, 1.5, None):
         with pytest.raises(UsageError):
             rm_mask((3, 3, 3), 0.5, bad_seed)
+    for bad_dims in ((2, 2), (2.5, 2, 2), (True, 2, 2), (2, 2, 0), 4, None):
+        for make in (rm_mask, nm_mask):
+            with pytest.raises(UsageError):
+                make(bad_dims, 0.5, 0)
 
 
 def test_corrupt_count_and_containment():
@@ -172,7 +176,9 @@ def test_synthetic_spec_validation():
     with pytest.raises(UsageError):
         CorruptionSpec(gamma=0.5, s=-1.0, seed=0)
     for bad in ({"rank": 1.5}, {"noise_sigma": np.nan}, {"noise_sigma": np.inf},
-                {"seed": 1.5}):
+                {"seed": 1.5}, {"dims": (3.7, 3, 3)}, {"dims": (True, 3, 3)},
+                {"dims": 5}, {"dims": (4, 4)}, {"dims": (4, 4, 4, 4)},
+                {"dims": (4, 0, 4)}, {"dims": "444"}):
         with pytest.raises(UsageError):
             SyntheticSpec(**{"dims": (4, 4, 4), "rank": 2, **bad})
     # U(-s, s) needs 2s to be finite

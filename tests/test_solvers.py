@@ -245,6 +245,17 @@ def test_config_validation():
             SolverConfig("tnn", **bad)
 
 
+def test_rho_too_small_for_a_finite_threshold_is_named():
+    """alpha_k / rho or lam / rho overflowing is reported in terms of rho."""
+    y, mask = _instance(3)
+    with pytest.raises(UsageError, match=r"rho=1e-310 is too small: alpha_k / rho"):
+        complete(y, mask, SolverConfig("tcpfnc", rho=1e-310))
+    with pytest.raises(UsageError, match=r"too small: lambda / rho"):
+        complete(y, mask, SolverConfig("rtcpfnc", rho=1e-300, lam=1e10))
+    # lam is unused outside the robust method
+    complete(y, mask, SolverConfig("tcpfnc", rho=1e-300, lam=1e10, max_iters=1))
+
+
 def test_default_lambda_formula():
     assert default_lambda((30, 24, 14)) == pytest.approx(1.0 / np.sqrt(24 * 14))
     assert default_lambda((400, 24, 14)) == pytest.approx(1.0 / np.sqrt(400))
