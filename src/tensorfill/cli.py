@@ -22,11 +22,15 @@ rerun
 
 Outputs never overwrite inputs: ``complete`` exits 2, before it reads or
 writes anything, when ``-o``, the anomaly path or ``--manifest`` names the
-same file as another of them or as ``--tensor`` or ``--mask``.  ``rerun``
-verifies every recorded hash (the inputs and the eval truth and mask)
-before it writes anything, and exits 2 with every file untouched when a
-replayed output under ``--workdir`` would land on the manifest, on a file
-it records, or on another replayed output.
+same file as another of them or as ``--tensor`` or ``--mask``, and exits
+3 (``cannot write``) when the directory of one of them does not exist.
+``eval`` exits 2 in the same way when ``--json-out``, ``--csv-out`` or the
+``--manifest`` it rewrites names the same file as another of them or as
+``--truth``, ``--mask`` or ``--recovered``.  ``rerun`` verifies every
+recorded hash (the inputs and the eval truth and mask) before it writes
+anything, and exits 2 with every file untouched, and ``--workdir`` not yet
+created, when a replayed output under ``--workdir`` would land on the
+manifest, on a file it records, or on another replayed output.
 
 Exit codes: 0 success, 2 usage error, 3 input/format error, 4 numeric
 error.  A failed rerun comparison exits 1.  The ``--threads`` flag of
@@ -272,7 +276,15 @@ def _check_targets(written, kept):
         claimed[real] = label
 
 
-def _solve_and_write(cfg, inputs, outputs, written=(), kept=()):
+def _check_directory(path):
+    """Raise InputError, with the message of a failed write, if the
+    directory ``path`` would be written into does not exist."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise InputError(f"cannot write {path}: no directory {directory}")
+
+
+def _solve_and_write(cfg, inputs, outputs, written=(), kept=(), workdir=None):
     """The one solve-and-write step of ``complete`` and ``rerun``.
 
     Reads the tensor and mask at the paths ``inputs`` maps those roles to,
@@ -280,10 +292,19 @@ def _solve_and_write(cfg, inputs, outputs, written=(), kept=()):
     (recovered, anomaly).  Before anything is read, exits through
     :func:`_check_targets` if an output would land on an input, on a
     (label, path) pair of ``kept``, on another output or on a pair of
-    ``written`` (files the caller writes).  Returns the result, the output
-    file records and the solve's wall-clock seconds.
+    ``written`` (files the caller writes); then creates ``workdir``, if
+    given, and raises InputError if the directory of an output or of a
+    ``written`` path does not exist.  Returns the result, the output file
+    records and the solve's wall-clock seconds.
     """
     _check_targets([*outputs, *written], [*inputs.items(), *kept])
+    if workdir is not None:
+        try:
+            os.makedirs(workdir, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create {workdir}: {exc}")
+    for _, path in [*outputs, *written]:
+        _check_directory(path)
     tensor = read_tensor(inputs["tensor"])
     mask = read_mask(inputs["mask"])
     start = time.perf_counter()
@@ -346,6 +367,11 @@ def _score(truth_path, mask_path, recovered, method, iters, *, on_observed,
 
 
 def cmd_eval(args):
+    written = [(label, path) for label, path in (
+        ("json report", args.json_out), ("csv report", args.csv_out),
+        ("manifest", args.manifest)) if path is not None]
+    _check_targets(written, [("truth", args.truth), ("mask", args.mask),
+                             ("recovered", args.recovered)])
     recovered = read_tensor(args.recovered)
     method, iters, manifest = "-", 0, None
     if args.manifest is not None:
@@ -393,18 +419,13 @@ def cmd_rerun(args):
     except (UsageError, TypeError, ValueError) as exc:
         raise InputError(f"manifest {args.manifest}: bad config value: {exc}")
 
-    workdir = args.workdir
-    try:
-        os.makedirs(workdir, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create {workdir}: {exc}")
     recorded = manifest["outputs"]
-    replay = [(e["role"], os.path.join(workdir, os.path.basename(e["path"])))
+    replay = [(e["role"], os.path.join(args.workdir, os.path.basename(e["path"])))
               for e in recorded]
     kept = [(f"recorded {e['role']}", e["path"]) for e in recorded + scored]
     result, outputs, _ = _solve_and_write(
         cfg, {e["role"]: e["path"] for e in manifest["inputs"]}, replay,
-        kept=kept + [("manifest", args.manifest)])
+        kept=kept + [("manifest", args.manifest)], workdir=args.workdir)
     for entry, output in zip(recorded, outputs):
         if output["sha256"] != entry["sha256"]:
             print(f"rerun: output {entry['role']} differs")

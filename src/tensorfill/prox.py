@@ -82,7 +82,10 @@ class LogRule:
                 f"sigma_prev length {len(base)} does not match spectrum "
                 f"size {len(sigma)}"
             )
-        return self.tau * log_weights(base, self.epsilon)
+        # a tiny epsilon or a huge tau overflows to an infinite threshold,
+        # which zeroes its value as any threshold above it would
+        with np.errstate(over="ignore"):
+            return self.tau * log_weights(base, self.epsilon)
 
     def penalty(self, sigma):
         """sum_i log(sigma_i + epsilon)."""
@@ -123,7 +126,7 @@ def shrinkage_thresholds(rule, sigma, sigma_prev=None):
     return rule.thresholds(sigma, sigma_prev)
 
 
-def apply_shrinkage(z, rule, sigma_prev=None):
+def apply_shrinkage(z, rule, sigma_prev=None, work=None):
     """Shrink the singular values of ``z`` by the thresholds of ``rule``.
 
     Returns (matrix, shrunk_sigma) where shrunk_sigma holds the output's
@@ -143,9 +146,17 @@ def apply_shrinkage(z, rule, sigma_prev=None):
     from U_r^T A rather than from sigma, and against the exact SVD it agreed
     to 1e-14 * sigma_max on wide, tall and rank-deficient inputs.
 
+    ``work`` is a pair of flat float64 arrays of at least ``z.size``
+    entries each, sharing no memory with ``z``: the first holds the scaled
+    A and then U_r^T A, the second the output, and the returned matrix is
+    a view of it.  Without ``work`` the kernel allocates the pair itself.
+
     Raises NumericError on non-finite input or eigensolver non-convergence.
     """
     a = np.asarray(z, dtype=np.float64)
+    if work is None:
+        work = (np.empty(a.size), np.empty(a.size))
+    scratch, out = work
     tall = a.shape[0] > a.shape[1]
     if tall:
         a = a.T
@@ -154,7 +165,10 @@ def apply_shrinkage(z, rule, sigma_prev=None):
     if not np.isfinite(peak):
         raise NumericError("shrinkage input contains non-finite values")
     exponent = int(np.frexp(peak)[1])
-    scaled = np.ldexp(a, -exponent)
+    # the layout np.ldexp would give a, so the Gram product is unchanged
+    scaled = scratch[: a.size].reshape(
+        a.shape, order="F" if a.flags.f_contiguous else "C")
+    np.ldexp(a, -exponent, out=scaled)
     try:
         w, u = np.linalg.eigh(scaled @ scaled.T)
     except np.linalg.LinAlgError as exc:
@@ -164,8 +178,11 @@ def apply_shrinkage(z, rule, sigma_prev=None):
     # thresholds are >= 0, so sigma >= shrunk > 0 on every kept component
     keep = shrunk > 0.0
     u = u[:, ::-1][:, keep]
-    out = (u * (shrunk[keep] / sigma[keep])) @ (u.T @ a)
-    return (out.T if tall else out), shrunk
+    rows = np.matmul(u.T, a, out=scratch[: u.shape[1] * a.shape[1]].reshape(
+        u.shape[1], a.shape[1]))
+    mat = np.matmul(u * (shrunk[keep] / sigma[keep]), rows,
+                    out=out[: a.size].reshape(a.shape))
+    return (mat.T if tall else mat), shrunk
 
 
 def soft_threshold(h, kappa):

@@ -25,15 +25,47 @@ the shrunk spectrum the kernel returned for mode k, plus
 ``L = sum_k alpha_k L_k`` is formed once, after the last iteration.
 
 The loop keeps ``L_k``, ``T_k`` and ``E_k`` as one ``(3, n1, n2, n3)``
-array each and updates them in place: each shrinkage input is built in a
-reused scratch tensor (one per mode when the modes run in a thread pool),
-each folded kernel output is copied into its contiguous slot, and the
-consensus, constraint and multiplier steps write into preallocated
-tensors.  The arithmetic and its order are those of a loop that allocates
-a fresh array for every intermediate (``z = (M - T_k/rho) - E_k``, the sums
+array each, ``P_omega(Y)`` and ``M`` as C-ordered tensors and the hidden
+entries as a bool tensor, and after set-up it allocates nothing
+tensor-sized.  Each concurrent mode update (one when serial, three in the
+thread pool) owns a workspace of three flat buffers of ``y.size`` entries,
+which all three modes reuse:
+
+* ``A`` holds the mode-k unfolding in Fortran order, filled from ``z``
+  with ``np.copyto`` through a fold view made once; after the three
+  kernels it holds ``M`` before the constraint;
+* ``S`` holds the kernel's scaled copy of ``A`` and then ``U_r^T A``;
+* ``O`` holds the shrinkage input ``z``, built in blocks, and then the
+  kernel output, which is copied into ``L_k`` through a fold view of the
+  matrix the kernel returns.
+
+So the working set is 8.1 tensors of state (``P_omega(Y)``, ``M``, the
+three ``L_k`` and ``T_k``, the bool mask at one byte an entry) plus 3 of
+workspace, and 3 more for ``E_k`` in the robust method: at 120x96x60 the
+traced peak is 11.2 tensors for ``halrtc`` and 14.2 for ``rtcpfnc`` (15.0
+and 18.0 with a fresh kernel intermediate per mode), and 17.2 and 20.2 with
+``threads > 1`` (21.0 and 26.1 before).  The elementwise steps
+(consensus, constraint, the anomaly step with its soft threshold, and the
+multiplier update) run fused over flat C-order views in blocks of
+:data:`BLOCK` entries, so the operands of one block stay in L2.
+``recovered`` and ``anomaly`` are formed in the free buffers after the
+loop.
+
+The copy of ``z`` into the unfolding is a transposing one for every
+mode; building ``z`` directly in the strided unfolding view instead was
+slower (about 9% per iteration at 120x96x60 and 5% at 30x24x14).  The
+kernel's output is ``(U_r D) (U_r^T A)``; reassociating it as
+``(U_r D U_r^T) A`` would save a product but changes rounding, and the
+desk ``tcpfnc`` stops of the criterion-4 protocol are rounding-sensitive
+(see the README).
+
+The arithmetic and its order are those of a loop that allocates a fresh
+array for every intermediate (``z = (M - T_k/rho) - E_k``, the sums
 ``(X_0 + X_1) + X_2``, the constraint as the two products and the sum of
-:func:`tensor.apply_constraint`), so seeded solves are bit-identical to
-that loop, which ``tests/test_solvers.py`` keeps as the reference.
+:func:`tensor.apply_constraint`), every reduction (the rule penalties,
+``sum |E_k|``) runs over the whole array, and the matrix products see the
+operand layouts of that loop, so seeded solves are bit-identical to it;
+``tests/test_solvers.py`` keeps it as the reference.
 """
 
 import math
@@ -50,8 +82,9 @@ from .prox import (
     apply_shrinkage,
     soft_threshold,
 )
-# apply_constraint is no longer called by the loop; it stays importable here
-# because perfbench wraps the layer functions under their solvers names.
+# apply_constraint and unfold are no longer called by the loop; they stay
+# importable here because perfbench wraps the layer functions under their
+# solvers names.
 from .tensor import (apply_constraint, check_mask, check_scalar,  # noqa: F401
                      check_tensor, fold, unfold)
 
@@ -66,6 +99,9 @@ RULES = {
     "tnn": lambda cfg, tau, r: TruncatedRule(tau, r),
 }
 METHODS = tuple(RULES)
+# Entries per block of the elementwise steps: 128 KiB per operand block, so
+# the blocks of one step stay in L2.
+BLOCK = 16384
 
 
 def default_lambda(dims):
@@ -186,10 +222,11 @@ def complete(y, mask, cfg, iter_hook=None):
         for k, n in enumerate(dims)
     ]
 
-    y_obs = y * mask
-    hidden = 1.0 - mask
+    size = y.size
+    # C-ordered constants; hidden as bool gives the products of 1 - mask
+    y_obs = np.multiply(y, mask, order="C")
+    hidden = np.equal(mask, 0.0, order="C")
     m = y_obs.copy()
-    m_pre = np.empty(dims)
     lk = np.zeros((3,) + dims)
     tk = np.zeros((3,) + dims)
     ek = np.zeros((3,) + dims) if robust else None
@@ -199,19 +236,76 @@ def complete(y, mask, cfg, iter_hook=None):
     iterations = 0
 
     pool = ThreadPoolExecutor(max_workers=3) if cfg.threads > 1 else None
-    # Pooled mode updates run at once, so each gets its own scratch tensor.
-    scratch = [np.empty(dims) for _ in range(3 if pool else 1)]
-    buf = scratch[0]
+    # The workspace: flat buffers A, S, O per concurrent mode update, which
+    # all three modes reuse (see the module docstring), and one block of
+    # scratch for the elementwise steps.
+    work = [[np.empty(size) for _ in range(3)] for _ in range(3 if pool else 1)]
+    # A and O of the first set are free once the three kernels have run
+    m_pre, absolute = work[0][0], work[0][2].reshape(dims)
+    tmp = np.empty(min(BLOCK, size))
+    starts = range(0, size, BLOCK)
+
+    def block_views(i):
+        """Views of block i of every array the elementwise steps touch:
+        M before and after the constraint, hidden, P(Y), a block of
+        scratch, and the rows of L, T and E (None unless robust)."""
+        b = slice(i, i + BLOCK)
+        return (m_pre[b], m.reshape(-1)[b], hidden.reshape(-1)[b],
+                y_obs.reshape(-1)[b], tmp[: len(m_pre[b])],
+                *(None if x is None else list(x.reshape(3, -1)[:, b])
+                  for x in (lk, tk, ek)))
+
+    blocks = [block_views(i) for i in starts]
+
+    def mode_views(k):
+        a, s, o = work[k if pool else 0]
+        unfolding = a.reshape((dims[k], size // dims[k]), order="F")
+        z_blocks = [o[i: i + BLOCK] for i in starts]
+        return unfolding, fold(unfolding, k, dims), o.reshape(dims), z_blocks, (s, o)
+
+    views = [mode_views(k) for k in range(3)]
 
     def update_mode(k):
-        z = scratch[k] if pool else buf
-        np.divide(tk[k], rho, out=z)
-        np.subtract(m, z, out=z)
-        if robust:
-            np.subtract(z, ek[k], out=z)
-        mat, sig = apply_shrinkage(unfold(z, k), rules[k], sigma_prev[k])
-        lk[k] = fold(mat, k, dims)
+        unfolding, unfolding_t, z, z_blocks, kernel_work = views[k]
+        for zb, (_, mb, _, _, _, _, tb, eb) in zip(z_blocks, blocks):
+            np.divide(tb[k], rho, out=zb)
+            np.subtract(mb, zb, out=zb)
+            if robust:
+                zb -= eb[k]
+        np.copyto(unfolding_t, z)
+        mat, sig = apply_shrinkage(unfolding, rules[k], sigma_prev[k], kernel_work)
+        np.copyto(lk[k], fold(mat, k, dims))
         return sig
+
+    def elementwise_steps(p, mb, hb, yb, t, lb, tb, eb):
+        """Consensus, constraint, anomaly and multiplier steps on one block."""
+        np.add(lb[0], lb[1], out=p)
+        p += lb[2]
+        p /= 3.0
+        if robust:
+            np.add(eb[0], eb[1], out=t)
+            t += eb[2]
+            t /= 3.0
+            p += t
+        np.add(tb[0], tb[1], out=t)
+        t += tb[2]
+        t /= 3.0 * rho
+        p += t
+        # the products and the sum of apply_constraint(m_pre, y, mask)
+        np.multiply(p, hb, out=mb)
+        mb += yb
+        for k in range(3):
+            if robust:
+                # E_k is free here: the consensus has read it
+                np.subtract(mb, lb[k], out=t)
+                np.divide(tb[k], rho, out=eb[k])
+                t -= eb[k]
+                np.copyto(eb[k], soft_threshold(t, lam / rho))
+            np.subtract(lb[k], mb, out=t)
+            if robust:
+                t += eb[k]
+            t *= rho
+            tb[k] += t
 
     # Overflow is caught by the per-iteration finite check; silence the
     # interim numpy warnings so the error surfaces once, with context.
@@ -224,46 +318,19 @@ def complete(y, mask, cfg, iter_hook=None):
             else:
                 sigmas = tuple(update_mode(k) for k in range(3))
             sigma_prev = list(sigmas)
-
-            np.add(lk[0], lk[1], out=m_pre)
-            m_pre += lk[2]
-            m_pre /= 3.0
-            if robust:
-                np.add(ek[0], ek[1], out=buf)
-                buf += ek[2]
-                buf /= 3.0
-                m_pre += buf
-            np.add(tk[0], tk[1], out=buf)
-            buf += tk[2]
-            buf /= 3.0 * rho
-            m_pre += buf
-            # the products and the sum of apply_constraint(m_pre, y, mask)
-            np.multiply(m_pre, hidden, out=m)
-            m += y_obs
-
-            if robust:
-                for k in range(3):
-                    # ek[k] is free here: the consensus has read it
-                    np.subtract(m, lk[k], out=buf)
-                    np.divide(tk[k], rho, out=ek[k])
-                    buf -= ek[k]
-                    ek[k] = soft_threshold(buf, lam / rho)
-
-            for k in range(3):
-                np.subtract(lk[k], m, out=buf)
-                if robust:
-                    buf += ek[k]
-                buf *= rho
-                tk[k] += buf
+            for block in blocks:
+                elementwise_steps(*block)
 
             obj = 0.0
             for k in range(3):
                 obj += cfg.alpha[k] * rules[k].penalty(sigmas[k])
             if robust:
                 obj += lam * sum(
-                    float(np.sum(np.abs(e, out=buf))) for e in ek
+                    float(np.sum(np.abs(e, out=absolute))) for e in ek
                 )
-            if not np.isfinite(obj) or not np.all(np.isfinite(m)):
+            # max and min propagate NaN, so both are finite iff all of m is
+            if not (np.isfinite(obj) and np.isfinite(m.max())
+                    and np.isfinite(m.min())):
                 raise NumericError(
                     f"{cfg.method}: non-finite values at iteration {it}"
                 )
@@ -279,7 +346,7 @@ def complete(y, mask, cfg, iter_hook=None):
                         tk=tuple(a.copy() for a in tk),
                         iter=it,
                         objective_history=list(history),
-                        m_pre_constraint=m_pre.copy(),
+                        m_pre_constraint=m_pre.reshape(dims).copy(),
                         sigmas=tuple(s.copy() for s in sigmas),
                     )
                 )
@@ -292,10 +359,17 @@ def complete(y, mask, cfg, iter_hook=None):
         if pool is not None:
             pool.shutdown()
 
-    recovered = (
-        cfg.alpha[0] * lk[0] + cfg.alpha[1] * lk[1] + cfg.alpha[2] * lk[2]
-    )
-    anomaly = (ek[0] + ek[1] + ek[2]) / 3.0 if robust else None
+    # (alpha_0 L_0 + alpha_1 L_1) + alpha_2 L_2 and (E_0 + E_1 + E_2) / 3,
+    # formed in the free buffers of the first workspace set
+    a, s, o = (buf.reshape(dims) for buf in work[0])
+    recovered = np.multiply(lk[0], cfg.alpha[0], out=a)
+    for k in (1, 2):
+        recovered += np.multiply(lk[k], cfg.alpha[k], out=s)
+    anomaly = None
+    if robust:
+        anomaly = np.add(ek[0], ek[1], out=o)
+        anomaly += ek[2]
+        anomaly /= 3.0
     return SolverResult(
         recovered=recovered,
         anomaly=anomaly,

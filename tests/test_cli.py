@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tensorfill import cli
 from tensorfill.cli import _load_manifest, main
 from tensorfill.datagen import SyntheticSpec, synthesize
 from tensorfill.errors import TensorfillError
@@ -442,6 +443,61 @@ def test_complete_output_collision_is_usage_error(tmp_path, capsys, flags):
     assert _files(tmp_path) == before
 
 
+# Flags of eval that make an output land on an input or another output;
+# the files are y.tns, m.msk, rec.tns and man.json.
+EVAL_COLLISIONS = [
+    {"--json-out": "y.tns"},
+    {"--json-out": "m.msk"},
+    {"--json-out": "rec.tns"},
+    {"--json-out": "sub/../y.tns"},
+    {"--csv-out": "y.tns"},
+    {"--csv-out": "rec.tns"},
+    {"--manifest": "y.tns"},
+    {"--manifest": "rec.tns"},
+    {"--json-out": "man.json", "--manifest": "man.json"},
+    {"--csv-out": "man.json", "--manifest": "man.json"},
+    {"--json-out": "r.out", "--csv-out": "r.out"},
+]
+
+
+@pytest.mark.parametrize("flags", EVAL_COLLISIONS, ids=lambda flags: ",".join(
+    f"{flag.lstrip('-')}={name}" for flag, name in flags.items()))
+def test_eval_output_collision_is_usage_error(tmp_path, capsys, flags):
+    """eval exits 2, and leaves every file as it was, when the report, the
+    CSV or the manifest it rewrites names the same file as an input or as
+    another of them."""
+    y, m = _pipeline_files(tmp_path)
+    rec = tmp_path / "rec.tns"
+    run("complete", "--tensor", y, "--mask", m, "--method", "tcpfnc",
+        "--max-iters", "2", "-o", rec, "--manifest", tmp_path / "man.json")
+    (tmp_path / "sub").mkdir()
+    before = _files(tmp_path)
+    argv = [a for flag, name in flags.items() for a in (flag, tmp_path / name)]
+    assert run("eval", "--truth", y, "--recovered", rec, "--mask", m,
+               *argv) == 2
+    assert "would overwrite" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("flag", ["-o", "--anomaly-out", "--manifest"])
+def test_complete_into_missing_directory_fails_before_solving(
+        tmp_path, capsys, monkeypatch, flag):
+    """A missing output directory is found before the inputs are read."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("complete ran although an output cannot be written")
+
+    monkeypatch.setattr(cli, "complete", not_reached)
+    y, m = _pipeline_files(tmp_path)
+    before = _files(tmp_path)
+    paths = {"-o": "rec.tns", "--manifest": "man.json", flag: "nodir/x.out"}
+    argv = [a for f, name in paths.items() for a in (f, tmp_path / name)]
+    assert run("complete", "--tensor", y, "--mask", m, "--method", "rtcpfnc",
+               *argv) == 3
+    assert "cannot write" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_rerun_into_truth_directory_leaves_truth_untouched(tmp_path, capsys):
     """The recovered tensor shares the truth's file name, so a replay into
     the truth's directory would overwrite it: rerun exits 2 instead."""
@@ -478,7 +534,7 @@ def test_rerun_outputs_sharing_a_path_is_usage_error(tmp_path, capsys):
         "--anomaly-out", tmp_path / "b" / "r.tns", "--manifest", man)
     assert run("rerun", "--manifest", man, "--workdir", tmp_path / "w") == 2
     assert "anomaly would overwrite recovered" in capsys.readouterr().err
-    assert not (tmp_path / "w" / "r.tns").exists()
+    assert not (tmp_path / "w").exists()
 
 
 def test_rerun_verifies_eval_files_before_writing(tmp_path):

@@ -329,3 +329,20 @@ def test_apply_shrinkage_numeric_errors(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     with pytest.raises(NumericError, match="did not converge"):
         apply_shrinkage(np.ones((3, 4)), rule)
+
+
+@pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
+    """A caller's workspace, larger than needed and holding stale values,
+    changes no bit of the output: with or without it the kernel runs the
+    same code, and the output is a view of the workspace."""
+    z = np.asarray(np.random.default_rng(14).normal(size=shape), order=order)
+    rule = TruncatedRule(float(svd(z).sigma[2]))  # keeps two components
+    work = (np.full(z.size + 7, np.nan), np.full(z.size + 7, np.nan))
+    out, shrunk = apply_shrinkage(z, rule)
+    out_w, shrunk_w = apply_shrinkage(z, rule, None, work)
+    assert 0 < np.count_nonzero(shrunk) < len(shrunk)
+    np.testing.assert_array_equal(out_w, out)
+    np.testing.assert_array_equal(shrunk_w, shrunk)
+    assert np.shares_memory(out_w, work[1])

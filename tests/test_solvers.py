@@ -1,6 +1,7 @@
 """Solver tests: ADMM mechanics via iteration hooks, degeneracies, errors."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tensorfill.errors import InputError, NumericError, UsageError
 from tensorfill.metrics import evaluate
 from tensorfill.prox import LogRule, TruncatedRule, apply_shrinkage, soft_threshold
 from tensorfill.solvers import (
+    BLOCK,
     METHODS,
     SolverConfig,
     check_convergence,
@@ -380,22 +382,57 @@ def test_in_place_loop_matches_reference_when_stopping_on_tol():
     assert result.converged and result.iterations < cfg.max_iters
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("method", METHODS)
+def test_blocked_workspace_loop_matches_reference(method, threads):
+    """40x30x20 is one full block of the elementwise steps and a partial
+    one, and Fortran-ordered inputs (the layout the readers return) are
+    laid out again in C order by the loop."""
+    y, mask = _outlier_instance(24, (40, 30, 20))
+    assert BLOCK < y.size < 2 * BLOCK
+    cfg = SolverConfig(method, rho=1e-3, lam=1e-4, truncation_rate=0.3,
+                       tol=1e-30, max_iters=15, threads=threads)
+    result = _assert_matches_reference(
+        np.asfortranarray(y), np.asfortranarray(mask), cfg)
+    if method == "rtcpfnc":
+        assert np.count_nonzero(result.anomaly) > 0
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_pooled_mode_updates_match_reference(method, monkeypatch):
-    """With threads=3 every mode builds its shrinkage input before any mode
-    reads one, so a scratch buffer shared between modes would show."""
+    """With threads=3 every mode builds its shrinkage input, and copies it
+    into its unfolding, before any mode's kernel runs, so a workspace
+    shared between modes would show."""
     barrier = threading.Barrier(3, timeout=30)
-    real_unfold = solvers.unfold
+    real_shrinkage = solvers.apply_shrinkage
 
-    def unfold_after_all_modes(x, mode):
+    def shrink_after_all_modes(*args, **kwargs):
         barrier.wait()
-        return real_unfold(x, mode)
+        return real_shrinkage(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "unfold", unfold_after_all_modes)
+    monkeypatch.setattr(solvers, "apply_shrinkage", shrink_after_all_modes)
     y, mask = _outlier_instance(21, (9, 8, 7))
     cfg = SolverConfig(method, rho=1e-3, lam=1e-2, truncation_rate=0.3,
                        tol=1e-30, max_iters=10, threads=3)
     _assert_matches_reference(y, mask, cfg)
+
+
+@pytest.mark.parametrize("method, tensors", [("halrtc", 12), ("rtcpfnc", 15)])
+def test_solve_peak_memory_in_tensors(method, tensors):
+    """At 120x96x60 a serial solve allocates nothing tensor-sized after
+    set-up: its peak traced memory is the state (P(Y), M, L_k, T_k, [E_k],
+    and hidden at one byte an entry) plus the three workspace buffers,
+    about 11.2 tensors for halrtc and 14.2 for rtcpfnc."""
+    y, mask = _instance(25, dims=(120, 96, 60))
+    observed = y * mask
+    cfg = SolverConfig(method, rho=1e-3, tol=1e-30, max_iters=2)
+    tracemalloc.start()
+    try:
+        complete(observed, mask, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tensors * observed.nbytes
 
 
 # Metamorphic properties: transformed inputs give correspondingly transformed

@@ -186,6 +186,8 @@ JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
 @pytest.mark.parametrize("parameter", sorted(PARAMETERS))
 @given(value=JSON_SCALARS)
 @example(value=-0.0)
+@example(value=5e-324)  # LogRule.epsilon: 1 / epsilon overflows
+@example(value=1.7976931348623157e308)  # LogRule.tau: tau / epsilon overflows
 @settings(max_examples=60, deadline=None)
 def test_every_parameter_is_accepted_or_a_usage_error(parameter, value):
     """Any value is either rejected with UsageError or works; a bool or a
