@@ -81,12 +81,11 @@ def read_tensor(path):
     raw = _read_file(path)
     dims = _read_header(raw, TENSOR_MAGIC, path)
     count = dims[0] * dims[1] * dims[2]
-    body = raw[_HEADER.size:]
-    if len(body) != 8 * count:
-        raise InputError(
-            f"{path}: expected {8 * count} value bytes, found {len(body)}"
-        )
-    values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    found = len(raw) - _HEADER.size
+    if found != 8 * count:
+        raise InputError(f"{path}: expected {8 * count} value bytes, found {found}")
+    # one owning, writable copy of the body, read in place from the file bytes
+    values = np.frombuffer(raw, "<f8", count, _HEADER.size).astype(np.float64)
     return check_tensor(values.reshape(dims, order="F"), f"{path}: tensor")
 
 
@@ -103,13 +102,12 @@ def read_mask(path):
     raw = _read_file(path)
     dims = _read_header(raw, MASK_MAGIC, path)
     count = dims[0] * dims[1] * dims[2]
-    body = raw[_HEADER.size:]
-    if len(body) != count:
-        raise InputError(
-            f"{path}: expected {count} mask bytes, found {len(body)}"
-        )
-    flags = np.frombuffer(body, dtype=np.uint8).reshape(dims, order="F")
-    return check_mask(flags, name=f"{path}: mask")
+    found = len(raw) - _HEADER.size
+    if found != count:
+        raise InputError(f"{path}: expected {count} mask bytes, found {found}")
+    # a view of the file bytes; check_mask makes the one float64 copy
+    flags = np.frombuffer(raw, np.uint8, count, _HEADER.size)
+    return check_mask(flags.reshape(dims, order="F"), name=f"{path}: mask")
 
 
 def ingest_csv(path, dims):

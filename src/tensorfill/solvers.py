@@ -25,47 +25,57 @@ the shrunk spectrum the kernel returned for mode k, plus
 ``L = sum_k alpha_k L_k`` is formed once, after the last iteration.
 
 The loop keeps ``L_k``, ``T_k`` and ``E_k`` as one ``(3, n1, n2, n3)``
-array each, ``P_omega(Y)`` and ``M`` as C-ordered tensors and the hidden
-entries as a bool tensor, and after set-up it allocates nothing
-tensor-sized.  Each concurrent mode update (one when serial, three in the
-thread pool) owns a workspace of three flat buffers of ``y.size`` entries,
+array each, ``M`` as a C-ordered tensor and the hidden and observed
+entries as bool tensors, and after set-up it allocates nothing
+tensor-sized.  ``P_omega(Y)`` is not stored: ``M`` starts as it and keeps
+it on the observed entries, so the constraint is ``p * hidden + M *
+observed``.  Each concurrent mode update (one when serial, three in the
+thread pool) owns a workspace of two flat buffers of ``y.size`` entries,
 which all three modes reuse:
 
+* ``O`` holds the shrinkage input ``z``, built in blocks while each
+  block's max and min are taken, and then the kernel's ``U_r^T A``;
 * ``A`` holds the mode-k unfolding in Fortran order, filled from ``z``
-  with ``np.copyto`` through a fold view made once; after the three
-  kernels it holds ``M`` before the constraint;
-* ``S`` holds the kernel's scaled copy of ``A`` and then ``U_r^T A``;
-* ``O`` holds the shrinkage input ``z``, built in blocks, and then the
-  kernel output, which is copied into ``L_k`` through a fold view of the
-  matrix the kernel returns.
+  with ``np.copyto`` through a fold view made once and scaled in place by
+  2**-e, with e from :func:`prox.scale_exponent` of the blocks' peak
+  (a non-finite ``z`` raises NumericError there); then the kernel output,
+  back in the scale of ``z``, which is copied into ``L_k`` through a fold
+  view of the matrix the kernel returns.  After the three kernels ``A``
+  holds ``M`` before the constraint.
 
-So the working set is 8.1 tensors of state (``P_omega(Y)``, ``M``, the
-three ``L_k`` and ``T_k``, the bool mask at one byte an entry) plus 3 of
-workspace, and 3 more for ``E_k`` in the robust method: at 120x96x60 the
-traced peak is 11.2 tensors for ``halrtc`` and 14.2 for ``rtcpfnc`` (15.0
-and 18.0 with a fresh kernel intermediate per mode), and 17.2 and 20.2 with
-``threads > 1`` (21.0 and 26.1 before).  The elementwise steps
-(consensus, constraint, the anomaly step with its soft threshold, and the
-multiplier update) run fused over flat C-order views in blocks of
-:data:`BLOCK` entries, so the operands of one block stay in L2.
-``recovered`` and ``anomaly`` are formed in the free buffers after the
-loop.
+So the working set is 7.25 tensors of state (``M``, the three ``L_k`` and
+``T_k``, the two bool masks at one byte an entry) plus 2 of workspace,
+and 3 more for ``E_k`` in the robust method: at 120x96x60 the traced peak
+is 9.3 tensors for ``halrtc`` and 12.4 for ``rtcpfnc``, and 13.4 and 16.4
+with ``threads > 1``.  The elementwise steps (consensus, constraint, the
+anomaly step with its soft threshold, and the multiplier update) run
+fused over flat C-order views in blocks of :data:`BLOCK` entries, so the
+operands of one block stay in L2.  ``recovered`` and ``anomaly`` are
+formed in the free buffers after the loop.
 
 The copy of ``z`` into the unfolding is a transposing one for every
 mode; building ``z`` directly in the strided unfolding view instead was
-slower (about 9% per iteration at 120x96x60 and 5% at 30x24x14).  The
-kernel's output is ``(U_r D) (U_r^T A)``; reassociating it as
-``(U_r D U_r^T) A`` would save a product but changes rounding, and the
-desk ``tcpfnc`` stops of the criterion-4 protocol are rounding-sensitive
-(see the README).
+slower (about 9% per iteration at 120x96x60 and 5% at 30x24x14), and so
+was scaling during that copy with ``np.ldexp`` (a strided ``ldexp`` took
+nearly twice as long as ``np.copyto`` and an in-place pass together).
+For the same reason the kernel undoes the scaling on its small factor
+``U_r D`` rather than during the copy into ``L_k``.  The kernel's output
+is ``(U_r D) (U_r^T A)``; reassociating it as ``(U_r D U_r^T) A`` would
+save a product but changes rounding, and the desk ``tcpfnc`` stops of the
+criterion-4 protocol are rounding-sensitive (see the README).
 
 The arithmetic and its order are those of a loop that allocates a fresh
 array for every intermediate (``z = (M - T_k/rho) - E_k``, the sums
 ``(X_0 + X_1) + X_2``, the constraint as the two products and the sum of
 :func:`tensor.apply_constraint`), every reduction (the rule penalties,
-``sum |E_k|``) runs over the whole array, and the matrix products see the
-operand layouts of that loop, so seeded solves are bit-identical to it;
-``tests/test_solvers.py`` keeps it as the reference.
+``sum |E_k|``) runs over the whole array, the matrix products see the
+operand layouts of that loop, and the scaling by 2**-e and back is exact
+short of subnormal values, so seeded solves are bit-identical to it;
+``tests/test_solvers.py`` keeps it as the reference.  The one difference
+is the sign of an exact zero: the constraint adds ``M * observed`` where
+that loop adds ``Y * mask``, and the two can differ in the sign of a zero
+term, so an entry that is exactly 0 can come out as -0 in one and +0 in
+the other.
 """
 
 import math
@@ -80,6 +90,7 @@ from .prox import (
     LogRule,
     TruncatedRule,
     apply_shrinkage,
+    scale_exponent,
     soft_threshold,
 )
 # apply_constraint and unfold are no longer called by the loop; they stay
@@ -223,10 +234,11 @@ def complete(y, mask, cfg, iter_hook=None):
     ]
 
     size = y.size
-    # C-ordered constants; hidden as bool gives the products of 1 - mask
-    y_obs = np.multiply(y, mask, order="C")
+    # C-ordered; hidden and observed as bool give the products of 1 - mask
+    # and mask
+    m = np.multiply(y, mask, order="C")
     hidden = np.equal(mask, 0.0, order="C")
-    m = y_obs.copy()
+    observed = ~hidden
     lk = np.zeros((3,) + dims)
     tk = np.zeros((3,) + dims)
     ek = np.zeros((3,) + dims) if robust else None
@@ -236,48 +248,59 @@ def complete(y, mask, cfg, iter_hook=None):
     iterations = 0
 
     pool = ThreadPoolExecutor(max_workers=3) if cfg.threads > 1 else None
-    # The workspace: flat buffers A, S, O per concurrent mode update, which
+    # The workspace: flat buffers A and O per concurrent mode update, which
     # all three modes reuse (see the module docstring), and one block of
     # scratch for the elementwise steps.
-    work = [[np.empty(size) for _ in range(3)] for _ in range(3 if pool else 1)]
+    work = [[np.empty(size) for _ in range(2)] for _ in range(3 if pool else 1)]
     # A and O of the first set are free once the three kernels have run
-    m_pre, absolute = work[0][0], work[0][2].reshape(dims)
+    m_pre, absolute = work[0][0], work[0][1].reshape(dims)
     tmp = np.empty(min(BLOCK, size))
     starts = range(0, size, BLOCK)
 
     def block_views(i):
         """Views of block i of every array the elementwise steps touch:
-        M before and after the constraint, hidden, P(Y), a block of
+        M before and after the constraint, hidden, observed, a block of
         scratch, and the rows of L, T and E (None unless robust)."""
         b = slice(i, i + BLOCK)
         return (m_pre[b], m.reshape(-1)[b], hidden.reshape(-1)[b],
-                y_obs.reshape(-1)[b], tmp[: len(m_pre[b])],
+                observed.reshape(-1)[b], tmp[: len(m_pre[b])],
                 *(None if x is None else list(x.reshape(3, -1)[:, b])
                   for x in (lk, tk, ek)))
 
     blocks = [block_views(i) for i in starts]
 
     def mode_views(k):
-        a, s, o = work[k if pool else 0]
+        a, o = work[k if pool else 0]
         unfolding = a.reshape((dims[k], size // dims[k]), order="F")
-        z_blocks = [o[i: i + BLOCK] for i in starts]
-        return unfolding, fold(unfolding, k, dims), o.reshape(dims), z_blocks, (s, o)
+        # each block of z, with 0-d views that take its max and min
+        extremes = np.empty((len(starts), 2))
+        z_blocks = [(o[i: i + BLOCK], extremes[j, 0, ...], extremes[j, 1, ...])
+                    for j, i in enumerate(starts)]
+        return a, unfolding, fold(unfolding, k, dims), o, z_blocks, extremes
 
     views = [mode_views(k) for k in range(3)]
 
     def update_mode(k):
-        unfolding, unfolding_t, z, z_blocks, kernel_work = views[k]
-        for zb, (_, mb, _, _, _, _, tb, eb) in zip(z_blocks, blocks):
+        a, unfolding, unfolding_t, o, z_blocks, extremes = views[k]
+        for (zb, hi, lo), (_, mb, _, _, _, _, tb, eb) in zip(z_blocks, blocks):
             np.divide(tb[k], rho, out=zb)
             np.subtract(mb, zb, out=zb)
             if robust:
                 zb -= eb[k]
-        np.copyto(unfolding_t, z)
-        mat, sig = apply_shrinkage(unfolding, rules[k], sigma_prev[k], kernel_work)
+            zb.max(out=hi)
+            zb.min(out=lo)
+        # max|z| is the largest |extreme|; NaN propagates through the
+        # numpy reductions
+        exponent = scale_exponent(np.abs(extremes).max())
+        np.copyto(unfolding_t, o.reshape(dims))
+        np.ldexp(a, -exponent, out=a)
+        # the kernel forms U_r^T A in O and its output in A
+        mat, sig = apply_shrinkage(unfolding, rules[k], sigma_prev[k], (o, a),
+                                   exponent)
         np.copyto(lk[k], fold(mat, k, dims))
         return sig
 
-    def elementwise_steps(p, mb, hb, yb, t, lb, tb, eb):
+    def elementwise_steps(p, mb, hb, ob, t, lb, tb, eb):
         """Consensus, constraint, anomaly and multiplier steps on one block."""
         np.add(lb[0], lb[1], out=p)
         p += lb[2]
@@ -291,9 +314,12 @@ def complete(y, mask, cfg, iter_hook=None):
         t += tb[2]
         t /= 3.0 * rho
         p += t
-        # the products and the sum of apply_constraint(m_pre, y, mask)
-        np.multiply(p, hb, out=mb)
-        mb += yb
+        # p*hidden + M*observed: M equals P(Y) on the observed entries, so
+        # these are the products and the sum of apply_constraint(m_pre, y,
+        # mask) up to the sign of an exact zero
+        np.multiply(p, hb, out=t)
+        mb *= ob
+        mb += t
         for k in range(3):
             if robust:
                 # E_k is free here: the consensus has read it
@@ -360,11 +386,12 @@ def complete(y, mask, cfg, iter_hook=None):
             pool.shutdown()
 
     # (alpha_0 L_0 + alpha_1 L_1) + alpha_2 L_2 and (E_0 + E_1 + E_2) / 3,
-    # formed in the free buffers of the first workspace set
-    a, s, o = (buf.reshape(dims) for buf in work[0])
+    # formed in the free buffers of the first workspace set, with T_0 as
+    # scratch
+    a, o = (buf.reshape(dims) for buf in work[0])
     recovered = np.multiply(lk[0], cfg.alpha[0], out=a)
     for k in (1, 2):
-        recovered += np.multiply(lk[k], cfg.alpha[k], out=s)
+        recovered += np.multiply(lk[k], cfg.alpha[k], out=tk[0])
     anomaly = None
     if robust:
         anomaly = np.add(ek[0], ek[1], out=o)

@@ -15,6 +15,7 @@ from tensorfill.prox import (
     LogRule,
     TruncatedRule,
     apply_shrinkage,
+    scale_exponent,
     log_weights,
     shrinkage_thresholds,
     soft_threshold,
@@ -308,6 +309,20 @@ def test_apply_shrinkage_never_divides_by_zero_singular_values():
     np.testing.assert_array_equal(shrunk, 0.0)
 
 
+def test_zero_tau_log_rule_thresholds_nothing():
+    """A zero tau gives zero thresholds even where a subnormal epsilon makes
+    a weight infinite (0 * inf is NaN), so the kernel keeps the spectrum."""
+    rule = LogRule(0.0, 5e-324)
+    sigma = np.array([3.0, 2.0, 0.0])
+    np.testing.assert_array_equal(rule.thresholds(sigma), 0.0)
+    np.testing.assert_array_equal(rule.thresholds(sigma, sigma[::-1]), 0.0)
+    z = np.zeros((3, 5))
+    z[0, 0], z[1, 1] = 3.0, 2.0
+    out, shrunk = apply_shrinkage(z, rule)
+    np.testing.assert_array_equal(shrunk, sigma)
+    np.testing.assert_array_equal(out, z)
+
+
 def test_apply_shrinkage_numeric_errors(monkeypatch):
     """Non-finite input is refused before the eigensolver runs, and an
     eigensolver failure surfaces as NumericError."""
@@ -346,3 +361,23 @@ def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
     np.testing.assert_array_equal(out_w, out)
     np.testing.assert_array_equal(shrunk_w, shrunk)
     assert np.shares_memory(out_w, work[1])
+
+
+@pytest.mark.parametrize("peak", [1e-3, 1.0, 1e300])
+@pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_prescaled_kernel_gives_the_bytes_of_the_public_path(shape, order, peak):
+    """The two-buffer path of the solver loop: the caller scales A by
+    2**-e into the buffer the output takes, and the kernel forms U_r^T A in
+    the other buffer and returns the output in the scale of A."""
+    rng = np.random.default_rng(15)
+    z = np.asarray(peak * rng.uniform(-1.0, 1.0, size=shape), order=order)
+    rule = TruncatedRule(float(svd(z).sigma[2]))  # keeps two components
+    out, shrunk = apply_shrinkage(z, rule)
+    exponent = scale_exponent(np.maximum(z.max(), -z.min()))
+    a, o = np.full(z.size, np.nan), np.full(z.size, np.nan)
+    scaled = np.ldexp(z, -exponent, out=a.reshape(shape, order=order))
+    mat, shrunk_p = apply_shrinkage(scaled, rule, None, (o, a), exponent)
+    assert np.shares_memory(mat, a)
+    assert mat.tobytes() == out.tobytes()
+    assert shrunk_p.tobytes() == shrunk.tobytes()

@@ -417,15 +417,17 @@ def test_pooled_mode_updates_match_reference(method, monkeypatch):
     _assert_matches_reference(y, mask, cfg)
 
 
-@pytest.mark.parametrize("method, tensors", [("halrtc", 12), ("rtcpfnc", 15)])
-def test_solve_peak_memory_in_tensors(method, tensors):
-    """At 120x96x60 a serial solve allocates nothing tensor-sized after
-    set-up: its peak traced memory is the state (P(Y), M, L_k, T_k, [E_k],
-    and hidden at one byte an entry) plus the three workspace buffers,
-    about 11.2 tensors for halrtc and 14.2 for rtcpfnc."""
+@pytest.mark.parametrize("method, threads, tensors", [
+    ("halrtc", 1, 10), ("rtcpfnc", 1, 13), ("halrtc", 3, 14), ("rtcpfnc", 3, 17)])
+def test_solve_peak_memory_in_tensors(method, threads, tensors):
+    """At 120x96x60 a solve allocates nothing tensor-sized after set-up: its
+    peak traced memory is the state (M, L_k, T_k, [E_k], and hidden and
+    observed at one byte an entry) plus two workspace buffers per
+    concurrent mode update, about 9.3 tensors for halrtc and 12.4 for
+    rtcpfnc, and 13.4 and 16.4 with threads=3."""
     y, mask = _instance(25, dims=(120, 96, 60))
     observed = y * mask
-    cfg = SolverConfig(method, rho=1e-3, tol=1e-30, max_iters=2)
+    cfg = SolverConfig(method, rho=1e-3, tol=1e-30, max_iters=2, threads=threads)
     tracemalloc.start()
     try:
         complete(observed, mask, cfg)
@@ -433,6 +435,29 @@ def test_solve_peak_memory_in_tensors(method, tensors):
     finally:
         tracemalloc.stop()
     assert peak <= tensors * observed.nbytes
+
+
+@pytest.mark.parametrize("method", ["tcpfnc", "rtcpfnc"])
+def test_constraint_with_exact_observed_zeros(method):
+    """M starts as P(Y), and the constraint takes the observed entries from
+    M itself: with exact zeros of either sign among the observed data, each
+    M equals apply_constraint of M before the constraint up to the sign of
+    a zero, and the solve matches the reference loop."""
+    y, mask = _instance(26, dims=(9, 8, 7))
+    rng = np.random.default_rng(26)
+    zeros = rng.uniform(size=y.shape) < 0.3
+    y[zeros] = 0.0
+    y[zeros & (rng.uniform(size=y.shape) < 0.5)] = -0.0
+    y_obs = y * mask
+    assert np.count_nonzero(np.signbit(y_obs) & (y_obs == 0) & (mask == 1)) > 0
+    cfg = SolverConfig(method, rho=1e-3, lam=1e-2)
+    _, states = _collect(y, mask, cfg, 12)
+    for state in states:
+        np.testing.assert_array_equal(
+            state.m, apply_constraint(state.m_pre_constraint, y_obs, mask))
+        np.testing.assert_array_equal(state.m[mask == 1], y[mask == 1])
+    _assert_matches_reference(y, mask, SolverConfig(
+        method, rho=1e-3, lam=1e-2, tol=1e-30, max_iters=12))
 
 
 # Metamorphic properties: transformed inputs give correspondingly transformed

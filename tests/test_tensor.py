@@ -164,6 +164,7 @@ PARAMETERS = {
     "SolverConfig.threads": lambda v: _solve(threads=v),
     "LogRule.tau": lambda v: _use_rule(LogRule(v)),
     "LogRule.epsilon": lambda v: _use_rule(LogRule(1.0, v)),
+    "LogRule.tau, subnormal epsilon": lambda v: _use_rule(LogRule(v, 5e-324)),
     "TruncatedRule.tau": lambda v: _use_rule(TruncatedRule(v)),
     "TruncatedRule.r": lambda v: _use_rule(TruncatedRule(1.0, v)),
     "SyntheticSpec.rank": lambda v: synthesize(SyntheticSpec((3, 3, 3), v)),
@@ -186,6 +187,7 @@ JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
 @pytest.mark.parametrize("parameter", sorted(PARAMETERS))
 @given(value=JSON_SCALARS)
 @example(value=-0.0)
+@example(value=0.0)  # LogRule.tau: 0 * an infinite weight is NaN
 @example(value=5e-324)  # LogRule.epsilon: 1 / epsilon overflows
 @example(value=1.7976931348623157e308)  # LogRule.tau: tau / epsilon overflows
 @settings(max_examples=60, deadline=None)
