@@ -131,22 +131,7 @@ def shrinkage_thresholds(rule, sigma, sigma_prev=None):
     return rule.thresholds(sigma, sigma_prev)
 
 
-def scale_exponent(peak):
-    """Exponent e for which ``peak * 2**-e`` lies in [0.5, 1), 0 when
-    ``peak`` is 0: scaling a matrix whose largest absolute entry is
-    ``peak`` by 2**-e keeps its Gram matrix clear of overflow and
-    underflow.
-
-    Raises NumericError when ``peak`` is not finite; taken with numpy
-    reductions, as ``max(x.max(), -x.min())`` or as the largest absolute
-    max or min of the blocks of x, it is NaN when any entry of x is.
-    """
-    if not np.isfinite(peak):
-        raise NumericError("shrinkage input contains non-finite values")
-    return int(np.frexp(peak)[1])
-
-
-def apply_shrinkage(z, rule, sigma_prev=None, work=None, exponent=None):
+def apply_shrinkage(z, rule, sigma_prev=None, work=None):
     """Shrink the singular values of ``z`` by the thresholds of ``rule``.
 
     Returns (matrix, shrunk_sigma) where shrunk_sigma holds the output's
@@ -158,14 +143,14 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None, exponent=None):
     singular vectors and V^T is never formed.  The output is
     ``U_r diag(shrunk_r / sigma_r) U_r^T A`` over the components r whose
     shrunk value is nonzero; no other component is divided by.  A is first
-    scaled by 2**-e, with e from :func:`scale_exponent`, so that A A^T
-    neither overflows nor underflows.  U_r^T A is formed from the scaled A
-    too, and the small left factor ``U_r diag(shrunk_r / sigma_r)`` is
-    scaled by 2**e, so the output comes out in the scale of the input.
-    Scaling by a power of two is exact and commutes with every rounding in
-    the products, unless an entry or product is subnormal or the left
-    factor overflows (which needs max|A| of at least 2**1023).  Squaring A
-    squares its condition
+    scaled by 2**-e, with e the exponent of max|A| (so the peak lies in
+    [0.5, 1)), so that A A^T neither overflows nor underflows.  U_r^T A is
+    formed from the scaled A too, and the small left factor
+    ``U_r diag(shrunk_r / sigma_r)``, whose entries are at most 1, is
+    scaled by 2**e (by 2**1023 and the output by 2 when e is 1024), so the
+    output comes out in the scale of the input.  Scaling by a power of two
+    is exact and commutes with every rounding in the products, unless an
+    entry or product is subnormal.  Squaring A squares its condition
     number: singular values below about sqrt(machine epsilon) * sigma_max
     carry an absolute error of that order (an exact zero can come out as
     large as about 1e-8 * sigma_max), and so does shrunk_sigma.  The output
@@ -176,30 +161,30 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None, exponent=None):
     ``work`` is a pair of flat float64 arrays of at least ``z.size``
     entries each: the first holds U_r^T A, the second the scaled A and
     then the output, and the returned matrix is a view of it.  Without
-    ``work`` the kernel allocates the pair itself.
-
-    With ``exponent`` given, ``z`` is taken as A already scaled by
-    2**-exponent: the kernel skips the scaling and its finite check, and
-    the output is in the scale of A as before.  ``z`` may then be a view of
-    ``work[1]``, which the output overwrites once U_r^T A is formed; this
-    is how ``solvers.complete`` runs a mode update in two buffers.
-    Otherwise ``z`` shares no memory with ``work``.
+    ``work`` the kernel allocates the pair itself.  ``z`` either shares no
+    memory with ``work`` or is ``work[1][:z.size]`` reshaped to its shape
+    in C or Fortran order; then A is scaled in place and the output
+    overwrites it, which is how ``solvers.complete`` runs a mode update in
+    two buffers.
 
     Raises NumericError on non-finite input or eigensolver non-convergence.
     """
     a = np.asarray(z, dtype=np.float64)
     if work is None:
         work = (np.empty(a.size), np.empty(a.size))
-    rows_out, out = work
+    scratch, out = work
     tall = a.shape[0] > a.shape[1]
     if tall:
         a = a.T
-    if exponent is None:
-        # max|a| without a full-size |a| temporary; NaN propagates through both
-        exponent = scale_exponent(np.maximum(a.max(), -a.min()))
-        # the layout np.ldexp would give a, so the products are unchanged
-        a = np.ldexp(a, -exponent, out=out[: a.size].reshape(
-            a.shape, order="F" if a.flags.f_contiguous else "C"))
+    # max|a| without a full-size |a| temporary; NaN propagates through both
+    peak = np.maximum(a.max(), -a.min())
+    if not np.isfinite(peak):
+        raise NumericError("shrinkage input contains non-finite values")
+    exponent = int(np.frexp(peak)[1])
+    # the layout np.ldexp would give a, so the products are unchanged; when
+    # z is this view of work[1], the scaling runs in place
+    a = np.ldexp(a, -exponent, out=out[: a.size].reshape(
+        a.shape, order="F" if a.flags.f_contiguous else "C"))
     try:
         w, u = np.linalg.eigh(a @ a.T)
     except np.linalg.LinAlgError as exc:
@@ -209,12 +194,16 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None, exponent=None):
     # thresholds are >= 0, so sigma >= shrunk > 0 on every kept component
     keep = shrunk > 0.0
     u = u[:, ::-1][:, keep]
-    rows = np.matmul(u.T, a, out=rows_out[: u.shape[1] * a.shape[1]].reshape(
+    rows = np.matmul(u.T, a, out=scratch[: u.shape[1] * a.shape[1]].reshape(
         u.shape[1], a.shape[1]))
-    # a is not read again, so the output may take its memory; scaling the
-    # small left factor by 2**e undoes the scaling of a
-    left = np.ldexp(u * (shrunk[keep] / sigma[keep]), exponent)
+    # a is not read again, so the output may take its memory; 2**e on the
+    # left factor undoes the scaling of a, and a left factor entry of 1
+    # times 2**1024 would overflow
+    head = min(exponent, 1023)
+    left = np.ldexp(u * (shrunk[keep] / sigma[keep]), head)
     mat = np.matmul(left, rows, out=out[: a.size].reshape(a.shape))
+    if exponent > head:
+        np.ldexp(mat, exponent - head, out=mat)
     return (mat.T if tall else mat), shrunk
 
 

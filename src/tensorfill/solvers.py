@@ -33,15 +33,14 @@ observed``.  Each concurrent mode update (one when serial, three in the
 thread pool) owns a workspace of two flat buffers of ``y.size`` entries,
 which all three modes reuse:
 
-* ``O`` holds the shrinkage input ``z``, built in blocks while each
-  block's max and min are taken, and then the kernel's ``U_r^T A``;
+* ``O`` holds the shrinkage input ``z``, built in blocks, and then the
+  kernel's ``U_r^T A``;
 * ``A`` holds the mode-k unfolding in Fortran order, filled from ``z``
-  with ``np.copyto`` through a fold view made once and scaled in place by
-  2**-e, with e from :func:`prox.scale_exponent` of the blocks' peak
-  (a non-finite ``z`` raises NumericError there); then the kernel output,
-  back in the scale of ``z``, which is copied into ``L_k`` through a fold
-  view of the matrix the kernel returns.  After the three kernels ``A``
-  holds ``M`` before the constraint.
+  with ``np.copyto`` through a fold view made once.  The unfolding is a
+  view of the kernel's second buffer, so the kernel scales it in place
+  and writes its output over it; the output is copied into ``L_k``
+  through a fold view of the matrix the kernel returns.  After the three
+  kernels ``A`` holds ``M`` before the constraint.
 
 So the working set is 7.25 tensors of state (``M``, the three ``L_k`` and
 ``T_k``, the two bool masks at one byte an entry) plus 2 of workspace,
@@ -90,7 +89,6 @@ from .prox import (
     LogRule,
     TruncatedRule,
     apply_shrinkage,
-    scale_exponent,
     soft_threshold,
 )
 # apply_constraint and unfold are no longer called by the loop; they stay
@@ -272,31 +270,22 @@ def complete(y, mask, cfg, iter_hook=None):
     def mode_views(k):
         a, o = work[k if pool else 0]
         unfolding = a.reshape((dims[k], size // dims[k]), order="F")
-        # each block of z, with 0-d views that take its max and min
-        extremes = np.empty((len(starts), 2))
-        z_blocks = [(o[i: i + BLOCK], extremes[j, 0, ...], extremes[j, 1, ...])
-                    for j, i in enumerate(starts)]
-        return a, unfolding, fold(unfolding, k, dims), o, z_blocks, extremes
+        z_blocks = [o[i: i + BLOCK] for i in starts]
+        return unfolding, fold(unfolding, k, dims), o.reshape(dims), z_blocks, (o, a)
 
     views = [mode_views(k) for k in range(3)]
 
     def update_mode(k):
-        a, unfolding, unfolding_t, o, z_blocks, extremes = views[k]
-        for (zb, hi, lo), (_, mb, _, _, _, _, tb, eb) in zip(z_blocks, blocks):
+        unfolding, unfolding_t, z, z_blocks, kernel_work = views[k]
+        for zb, (_, mb, _, _, _, _, tb, eb) in zip(z_blocks, blocks):
             np.divide(tb[k], rho, out=zb)
             np.subtract(mb, zb, out=zb)
             if robust:
                 zb -= eb[k]
-            zb.max(out=hi)
-            zb.min(out=lo)
-        # max|z| is the largest |extreme|; NaN propagates through the
-        # numpy reductions
-        exponent = scale_exponent(np.abs(extremes).max())
-        np.copyto(unfolding_t, o.reshape(dims))
-        np.ldexp(a, -exponent, out=a)
-        # the kernel forms U_r^T A in O and its output in A
-        mat, sig = apply_shrinkage(unfolding, rules[k], sigma_prev[k], (o, a),
-                                   exponent)
+        np.copyto(unfolding_t, z)
+        # the unfolding is a view of the kernel's second buffer: the kernel
+        # scales it in place, forms U_r^T A in O and its output in A
+        mat, sig = apply_shrinkage(unfolding, rules[k], sigma_prev[k], kernel_work)
         np.copyto(lk[k], fold(mat, k, dims))
         return sig
 

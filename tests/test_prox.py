@@ -15,7 +15,6 @@ from tensorfill.prox import (
     LogRule,
     TruncatedRule,
     apply_shrinkage,
-    scale_exponent,
     log_weights,
     shrinkage_thresholds,
     soft_threshold,
@@ -366,18 +365,43 @@ def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
 @pytest.mark.parametrize("peak", [1e-3, 1.0, 1e300])
 @pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_prescaled_kernel_gives_the_bytes_of_the_public_path(shape, order, peak):
-    """The two-buffer path of the solver loop: the caller scales A by
-    2**-e into the buffer the output takes, and the kernel forms U_r^T A in
-    the other buffer and returns the output in the scale of A."""
+def test_in_place_kernel_gives_the_bytes_of_the_public_path(shape, order, peak):
+    """The two-buffer path of the solver loop: with z a view of work[1],
+    the kernel scales it in place, forms U_r^T A in work[0] and writes the
+    output, in the scale of z, over it."""
     rng = np.random.default_rng(15)
     z = np.asarray(peak * rng.uniform(-1.0, 1.0, size=shape), order=order)
     rule = TruncatedRule(float(svd(z).sigma[2]))  # keeps two components
     out, shrunk = apply_shrinkage(z, rule)
-    exponent = scale_exponent(np.maximum(z.max(), -z.min()))
     a, o = np.full(z.size, np.nan), np.full(z.size, np.nan)
-    scaled = np.ldexp(z, -exponent, out=a.reshape(shape, order=order))
-    mat, shrunk_p = apply_shrinkage(scaled, rule, None, (o, a), exponent)
+    view = a.reshape(shape, order=order)
+    view[...] = z
+    mat, shrunk_p = apply_shrinkage(view, rule, None, (o, a))
     assert np.shares_memory(mat, a)
     assert mat.tobytes() == out.tobytes()
     assert shrunk_p.tobytes() == shrunk.tobytes()
+
+
+@pytest.mark.parametrize("tall", [False, True])
+def test_unshrunk_component_at_the_largest_peak_stays_finite(tall):
+    """At max|z| of 1.5e308 the scaling exponent is 1024, and an exempt
+    component along a coordinate axis gives a left-factor entry of 1: the
+    kernel must not form 2**1024 on the way back to the scale of z."""
+    rng = np.random.default_rng(16)
+    z = np.zeros((3, 5))
+    z[0, 0] = 1.5e308
+    z[1:, 1:] = 1e306 * rng.uniform(-1.0, 1.0, size=(2, 4))
+    if tall:
+        z = z.T
+    rule = TruncatedRule(1e305, 1)
+    out, shrunk = apply_shrinkage(z, rule)
+    # the exact prox, from the SVD of z / 2**1024 (exact: a power of two)
+    ref = svd(np.ldexp(z, -1024))
+    sigma = np.ldexp(ref.sigma, 1024)
+    expected_shrunk = np.maximum(sigma - rule.thresholds(sigma), 0.0)
+    expected = np.ldexp(
+        (ref.u * np.ldexp(expected_shrunk, -1024)) @ ref.vt, 1024)
+    assert np.all(np.isfinite(out))
+    assert out[0, 0] == 1.5e308
+    np.testing.assert_allclose(shrunk, expected_shrunk, rtol=1e-12)
+    assert np.max(np.abs(out - expected)) <= 1e-12 * sigma[0]
