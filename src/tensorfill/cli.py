@@ -26,16 +26,16 @@ same file as another of them or as ``--tensor`` or ``--mask``, and exits
 3 (``cannot write``) when the directory of one of them does not exist.
 ``eval`` exits 2 in the same way when ``--json-out``, ``--csv-out`` or the
 ``--manifest`` it rewrites names the same file as another of them or as
-``--truth``, ``--mask`` or ``--recovered``.  ``rerun`` verifies every
+``--truth``, ``--mask`` or ``--recovered``, and ``corrupt`` and ``ingest``
+when one of their two outputs names the other or one of their inputs.
+``rerun`` verifies every
 recorded hash (the inputs and the eval truth and mask) before it writes
 anything, and exits 2 with every file untouched, and ``--workdir`` not yet
 created, when a replayed output under ``--workdir`` would land on the
 manifest, on a file it records, or on another replayed output.
 
 Exit codes: 0 success, 2 usage error, 3 input/format error, 4 numeric
-error.  A failed rerun comparison exits 1.  The ``--threads`` flag of
-``complete`` defaults to the ``TENSORFILL_THREADS`` environment variable;
-a value of it that is not an integer is a usage error.
+error.  A failed rerun comparison exits 1.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .io import (
 )
 from .metrics import evaluate
 from .solvers import METHODS, SolverConfig, complete, default_lambda
-from .tensor import check_dims
+from .tensor import check_dims, check_scalar
 
 CSV_HEADER = "method,dims,pattern,rate,gamma,seed,mape,rmse,iters"
 MANIFEST_VERSION = 1
@@ -85,7 +85,11 @@ FILE_KEYS = {"role": str, "path": str, "sha256": str}
 EVAL_LABELS = {"on_observed": bool, "pattern": str, "rate": NUMBER,
                "gamma": NUMBER, "seed": int}
 EVAL_KEYS = {"truth": dict, "mask": dict, **EVAL_LABELS}
-CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SolverConfig))
+# The config keys a manifest may record: the SolverConfig fields, and the
+# ``threads`` of older manifests, the size of a per-mode thread pool that
+# has since been removed.  Its results were bit-identical to serial, so
+# rerun checks the value and otherwise ignores it.
+CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(SolverConfig)) | {"threads"}
 
 
 def _parse_dims(text):
@@ -186,7 +190,7 @@ def _load_manifest(path):
     _require(manifest, MANIFEST_KEYS, where)
     config = manifest["config"]
     _require(config, {"method": str}, f"{where}: config")
-    unknown = sorted(set(config) - CONFIG_FIELDS)
+    unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise InputError(f"{where}: unknown config keys {', '.join(unknown)}")
     for key in ("inputs", "outputs"):
@@ -200,26 +204,6 @@ def _load_manifest(path):
         for key in ("truth", "mask"):
             _require(manifest["eval"][key], FILE_KEYS, f"{where}: eval {key}")
     return manifest
-
-
-def _solver_config(args):
-    threads = args.threads
-    if threads is None:
-        text = os.environ.get("TENSORFILL_THREADS", "1")
-        try:
-            threads = int(text)
-        except ValueError:
-            raise UsageError(f"TENSORFILL_THREADS must be an integer, got {text!r}")
-    return SolverConfig(
-        method=args.method,
-        alpha=_parse_alpha(args.alpha),
-        rho=args.rho,
-        lam=args.lam,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        truncation_rate=args.trunc_rate,
-        threads=threads,
-    )
 
 
 def cmd_synth(args):
@@ -251,6 +235,8 @@ def cmd_mask(args):
 
 
 def cmd_corrupt(args):
+    _check_targets([("output", args.out), ("omega output", args.omega_out)],
+                   [("tensor", args.tensor), ("mask", args.mask)])
     tensor = read_tensor(args.tensor)
     mask = read_mask(args.mask)
     spec = CorruptionSpec(gamma=args.gamma, s=args.s, seed=args.seed)
@@ -318,7 +304,9 @@ def _solve_and_write(cfg, inputs, outputs, written=(), kept=(), workdir=None):
 
 
 def cmd_complete(args):
-    cfg = _solver_config(args)
+    cfg = SolverConfig(args.method, alpha=_parse_alpha(args.alpha), rho=args.rho,
+                       lam=args.lam, tol=args.tol, max_iters=args.max_iters,
+                       truncation_rate=args.trunc_rate)
     outputs = [("recovered", args.out)]
     if cfg.method == "rtcpfnc":
         root, ext = os.path.splitext(args.out)
@@ -400,6 +388,8 @@ def cmd_eval(args):
 
 
 def cmd_ingest(args):
+    _check_targets([("output", args.out), ("mask output", args.mask_out)],
+                   [("csv", args.csv)])
     dims = _parse_dims(args.dims)
     tensor, mask = ingest_csv(args.csv, dims)
     write_tensor(args.out, tensor)
@@ -414,8 +404,11 @@ def cmd_rerun(args):
     scored = [] if info is None else [info["truth"], info["mask"]]
     for entry in manifest["inputs"] + scored:
         _verify_entry(entry)
+    config = dict(manifest["config"])
     try:
-        cfg = SolverConfig(**manifest["config"])
+        if "threads" in config:
+            check_scalar("threads", config.pop("threads"), 1, integer=True)
+        cfg = SolverConfig(**config)
     except (UsageError, TypeError, ValueError) as exc:
         raise InputError(f"manifest {args.manifest}: bad config value: {exc}")
 
@@ -495,8 +488,6 @@ def build_parser():
     # repr round-trips, so the default parses back to the library's weights
     p.add_argument("--alpha", default=",".join(map(repr, SolverConfig.alpha)),
                    help="mode weights a1,a2,a3 summing to 1")
-    p.add_argument("--threads", type=int, default=None,
-                   help="per-mode worker threads (default TENSORFILL_THREADS or 1)")
     p.add_argument("-o", "--out", required=True, help="recovered TNS1 path")
     p.add_argument("--anomaly-out", default=None,
                    help="anomaly TNS1 path (robust method; default <out>.anomaly)")

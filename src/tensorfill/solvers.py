@@ -9,8 +9,7 @@ parameter rho and mode weights alpha_k:
    (``tcpfnc``, ``rtcpfnc``), the nuclear norm (``halrtc``) or the truncated
    nuclear norm (``tnn``).  Each shrink works from the eigendecomposition of
    the Gram matrix of the unfolding's smaller side
-   (:func:`prox.apply_shrinkage`), not a full SVD.  The three modes are
-   independent and may run in parallel.
+   (:func:`prox.apply_shrinkage`), not a full SVD.
 2. ``M <- mean_k(L_k [+ E_k] + T_k/rho)``, then observed entries are reset
    to the data: ``P_omega(M) = P_omega(Y)`` holds after every iteration.
 3. robust only: ``E_k <- soft_threshold(M - L_k - T_k/rho, lambda/rho)``
@@ -29,9 +28,8 @@ array each, ``M`` as a C-ordered tensor and the hidden and observed
 entries as bool tensors, and after set-up it allocates nothing
 tensor-sized.  ``P_omega(Y)`` is not stored: ``M`` starts as it and keeps
 it on the observed entries, so the constraint is ``p * hidden + M *
-observed``.  Each concurrent mode update (one when serial, three in the
-thread pool) owns a workspace of two flat buffers of ``y.size`` entries,
-which all three modes reuse:
+observed``.  The loop owns one workspace of two flat buffers of
+``y.size`` entries, which the three modes reuse in turn:
 
 * ``O`` holds the shrinkage input ``z``, built in blocks, and then the
   kernel's ``U_r^T A``;
@@ -45,12 +43,12 @@ which all three modes reuse:
 So the working set is 7.25 tensors of state (``M``, the three ``L_k`` and
 ``T_k``, the two bool masks at one byte an entry) plus 2 of workspace,
 and 3 more for ``E_k`` in the robust method: at 120x96x60 the traced peak
-is 9.3 tensors for ``halrtc`` and 12.4 for ``rtcpfnc``, and 13.4 and 16.4
-with ``threads > 1``.  The elementwise steps (consensus, constraint, the
-anomaly step with its soft threshold, and the multiplier update) run
-fused over flat C-order views in blocks of :data:`BLOCK` entries, so the
-operands of one block stay in L2.  ``recovered`` and ``anomaly`` are
-formed in the free buffers after the loop.
+is 9.3 tensors for ``halrtc`` and 12.4 for ``rtcpfnc``.  The elementwise
+steps (consensus, constraint, the anomaly step with its soft threshold,
+and the multiplier update) run fused over flat C-order views in blocks of
+:data:`BLOCK` entries, so the operands of one block stay in L2.
+``recovered`` and ``anomaly`` are formed in the free buffers after the
+loop.
 
 The copy of ``z`` into the unfolding is a transposing one for every
 mode; building ``z`` directly in the strided unfolding view instead was
@@ -78,7 +76,6 @@ the other.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +134,6 @@ class SolverConfig:
     tol: float = 1e-6
     max_iters: int = 200
     truncation_rate: float = 0.0
-    threads: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -155,7 +151,6 @@ class SolverConfig:
             check_scalar("lambda", self.lam, 0, open_low=True)
         check_scalar("max_iters", self.max_iters, 1, integer=True)
         check_scalar("truncation_rate", self.truncation_rate, 0, 1, open_high=True)
-        check_scalar("threads", self.threads, 1, integer=True)
 
 
 @dataclass
@@ -240,54 +235,37 @@ def complete(y, mask, cfg, iter_hook=None):
     lk = np.zeros((3,) + dims)
     tk = np.zeros((3,) + dims)
     ek = np.zeros((3,) + dims) if robust else None
-    sigma_prev = [None, None, None]
+    # each mode's shrunk spectrum, the kernel's warm start for that mode
+    sigmas = [None, None, None]
     history = []
     converged = False
     iterations = 0
 
-    pool = ThreadPoolExecutor(max_workers=3) if cfg.threads > 1 else None
-    # The workspace: flat buffers A and O per concurrent mode update, which
-    # all three modes reuse (see the module docstring), and one block of
-    # scratch for the elementwise steps.
-    work = [[np.empty(size) for _ in range(2)] for _ in range(3 if pool else 1)]
-    # A and O of the first set are free once the three kernels have run
-    m_pre, absolute = work[0][0], work[0][1].reshape(dims)
+    # The workspace: flat buffers A and O, which all three modes reuse (see
+    # the module docstring), and one block of scratch for the elementwise
+    # steps.  A holds M before the constraint once the three kernels have
+    # run, and O is free then.
+    a, o = np.empty(size), np.empty(size)
     tmp = np.empty(min(BLOCK, size))
     starts = range(0, size, BLOCK)
+    # the shrinkage input, built in blocks; also the scratch of sum |E_k|
+    z, z_blocks = o.reshape(dims), [o[i: i + BLOCK] for i in starts]
 
     def block_views(i):
         """Views of block i of every array the elementwise steps touch:
         M before and after the constraint, hidden, observed, a block of
         scratch, and the rows of L, T and E (None unless robust)."""
         b = slice(i, i + BLOCK)
-        return (m_pre[b], m.reshape(-1)[b], hidden.reshape(-1)[b],
-                observed.reshape(-1)[b], tmp[: len(m_pre[b])],
+        return (a[b], m.reshape(-1)[b], hidden.reshape(-1)[b],
+                observed.reshape(-1)[b], tmp[: len(a[b])],
                 *(None if x is None else list(x.reshape(3, -1)[:, b])
                   for x in (lk, tk, ek)))
 
     blocks = [block_views(i) for i in starts]
-
-    def mode_views(k):
-        a, o = work[k if pool else 0]
-        unfolding = a.reshape((dims[k], size // dims[k]), order="F")
-        z_blocks = [o[i: i + BLOCK] for i in starts]
-        return unfolding, fold(unfolding, k, dims), o.reshape(dims), z_blocks, (o, a)
-
-    views = [mode_views(k) for k in range(3)]
-
-    def update_mode(k):
-        unfolding, unfolding_t, z, z_blocks, kernel_work = views[k]
-        for zb, (_, mb, _, _, _, _, tb, eb) in zip(z_blocks, blocks):
-            np.divide(tb[k], rho, out=zb)
-            np.subtract(mb, zb, out=zb)
-            if robust:
-                zb -= eb[k]
-        np.copyto(unfolding_t, z)
-        # the unfolding is a view of the kernel's second buffer: the kernel
-        # scales it in place, forms U_r^T A in O and its output in A
-        mat, sig = apply_shrinkage(unfolding, rules[k], sigma_prev[k], kernel_work)
-        np.copyto(lk[k], fold(mat, k, dims))
-        return sig
+    # the unfolding is a view of the kernel's second buffer: the kernel
+    # scales it in place, forms U_r^T A in O and its output in A
+    unfoldings = [a.reshape((n, size // n), order="F") for n in dims]
+    unfoldings_t = [fold(u, k, dims) for k, u in enumerate(unfoldings)]
 
     def elementwise_steps(p, mb, hb, ob, t, lb, tb, eb):
         """Consensus, constraint, anomaly and multiplier steps on one block."""
@@ -324,15 +302,18 @@ def complete(y, mask, cfg, iter_hook=None):
 
     # Overflow is caught by the per-iteration finite check; silence the
     # interim numpy warnings so the error surfaces once, with context.
-    stack = np.errstate(over="ignore", invalid="ignore")
-    stack.__enter__()
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
-            if pool is not None:
-                sigmas = tuple(pool.map(update_mode, range(3)))
-            else:
-                sigmas = tuple(update_mode(k) for k in range(3))
-            sigma_prev = list(sigmas)
+            for k in range(3):
+                for zb, (_, mb, _, _, _, _, tb, eb) in zip(z_blocks, blocks):
+                    np.divide(tb[k], rho, out=zb)
+                    np.subtract(mb, zb, out=zb)
+                    if robust:
+                        zb -= eb[k]
+                np.copyto(unfoldings_t[k], z)
+                mat, sigmas[k] = apply_shrinkage(
+                    unfoldings[k], rules[k], sigmas[k], (o, a))
+                np.copyto(lk[k], fold(mat, k, dims))
             for block in blocks:
                 elementwise_steps(*block)
 
@@ -341,7 +322,7 @@ def complete(y, mask, cfg, iter_hook=None):
                 obj += cfg.alpha[k] * rules[k].penalty(sigmas[k])
             if robust:
                 obj += lam * sum(
-                    float(np.sum(np.abs(e, out=absolute))) for e in ek
+                    float(np.sum(np.abs(e, out=z))) for e in ek
                 )
             # max and min propagate NaN, so both are finite iff all of m is
             if not (np.isfinite(obj) and np.isfinite(m.max())
@@ -356,12 +337,12 @@ def complete(y, mask, cfg, iter_hook=None):
                 iter_hook(
                     SolverState(
                         m=m.copy(),
-                        lk=tuple(a.copy() for a in lk),
-                        ek=tuple(a.copy() for a in ek) if robust else None,
-                        tk=tuple(a.copy() for a in tk),
+                        lk=tuple(x.copy() for x in lk),
+                        ek=tuple(x.copy() for x in ek) if robust else None,
+                        tk=tuple(x.copy() for x in tk),
                         iter=it,
                         objective_history=list(history),
-                        m_pre_constraint=m_pre.reshape(dims).copy(),
+                        m_pre_constraint=a.reshape(dims).copy(),
                         sigmas=tuple(s.copy() for s in sigmas),
                     )
                 )
@@ -369,21 +350,15 @@ def complete(y, mask, cfg, iter_hook=None):
             if check_convergence(history, cfg.tol):
                 converged = True
                 break
-    finally:
-        stack.__exit__(None, None, None)
-        if pool is not None:
-            pool.shutdown()
 
     # (alpha_0 L_0 + alpha_1 L_1) + alpha_2 L_2 and (E_0 + E_1 + E_2) / 3,
-    # formed in the free buffers of the first workspace set, with T_0 as
-    # scratch
-    a, o = (buf.reshape(dims) for buf in work[0])
-    recovered = np.multiply(lk[0], cfg.alpha[0], out=a)
+    # formed in the free workspace buffers, with T_0 as scratch
+    recovered = np.multiply(lk[0], cfg.alpha[0], out=a.reshape(dims))
     for k in (1, 2):
         recovered += np.multiply(lk[k], cfg.alpha[k], out=tk[0])
     anomaly = None
     if robust:
-        anomaly = np.add(ek[0], ek[1], out=o)
+        anomaly = np.add(ek[0], ek[1], out=z)
         anomaly += ek[2]
         anomaly /= 3.0
     return SolverResult(

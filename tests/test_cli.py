@@ -189,14 +189,16 @@ def test_complete_numeric_divergence_is_numeric_error(tmp_path):
                "--manifest", tmp_path / "man.json") == 4
 
 
-def test_complete_threads_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("TENSORFILL_THREADS", "2")
+def test_complete_threads_flag_is_usage_error(tmp_path, capsys):
+    """The solve has no thread pool, so there is no --threads to set."""
     y, m = _pipeline_files(tmp_path)
-    man = tmp_path / "man.json"
-    run("complete", "--tensor", y, "--mask", m, "--method", "tcpfnc",
-        "--rho", "1e-3", "--max-iters", "5", "-o", tmp_path / "r.tns",
-        "--manifest", man)
-    assert json.loads(man.read_text())["config"]["threads"] == 2
+    with pytest.raises(SystemExit) as exc:
+        run("complete", "--tensor", y, "--mask", m, "--method", "tcpfnc",
+            "--max-iters", "5", "--threads", "3", "-o", tmp_path / "r.tns",
+            "--manifest", tmp_path / "man.json")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--threads" in err and "Traceback" not in err
 
 
 def test_eval_worked_fixture(tmp_path, capsys):
@@ -342,14 +344,14 @@ def test_rerun_mistyped_config_value_is_input_error(tmp_path, capsys):
         assert "bad config value" in err and "Traceback" not in err
 
 
-def test_complete_malformed_threads_env_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TENSORFILL_THREADS", "abc")
-    y, m = _pipeline_files(tmp_path)  # synth and mask do not read it
-    assert y.exists() and m.exists()
-    assert run("complete", "--tensor", y, "--mask", m, "--method", "tcpfnc",
-               "--max-iters", "5", "-o", tmp_path / "r.tns",
-               "--manifest", tmp_path / "man.json") == 2
-    assert "TENSORFILL_THREADS" in capsys.readouterr().err
+def test_rerun_replays_a_manifest_recording_threads(tmp_path, capsys):
+    """Older manifests record the size of a since-removed thread pool,
+    whose results were those of the serial loop: rerun ignores it."""
+    def edit(manifest):
+        manifest["config"]["threads"] = 3
+
+    assert _rerun_edited(tmp_path, edit) == 0
+    assert "rerun: identical" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags", [
@@ -475,6 +477,39 @@ def test_eval_output_collision_is_usage_error(tmp_path, capsys, flags):
     argv = [a for flag, name in flags.items() for a in (flag, tmp_path / name)]
     assert run("eval", "--truth", y, "--recovered", rec, "--mask", m,
                *argv) == 2
+    assert "would overwrite" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
+# corrupt and ingest, each with an output landing on an input or on its
+# other output; the files are y.tns, m.msk and d.csv.
+GENERATOR_OPTIONS = {"corrupt": ("--gamma", "0.1", "--s", "5"),
+                     "ingest": ("--dims", "2,2,2")}
+GENERATOR_INPUTS = {"corrupt": {"--tensor": "y.tns", "--mask": "m.msk"},
+                    "ingest": {"--csv": "d.csv"}}
+GENERATOR_COLLISIONS = [
+    ("corrupt", {"-o": "y.tns", "--omega-out": "oc.msk"}),
+    ("corrupt", {"-o": "c.tns", "--omega-out": "m.msk"}),
+    ("corrupt", {"-o": "m.msk", "--omega-out": "y.tns"}),
+    ("corrupt", {"-o": "c.out", "--omega-out": "c.out"}),
+    ("ingest", {"-o": "d.csv", "--mask-out": "x.msk"}),
+    ("ingest", {"-o": "x.tns", "--mask-out": "d.csv"}),
+    ("ingest", {"-o": "x.bin", "--mask-out": "x.bin"}),
+]
+
+
+@pytest.mark.parametrize("command, flags", GENERATOR_COLLISIONS, ids=lambda v: ",".join(
+    f"{flag.lstrip('-')}={name}" for flag, name in v.items())
+    if isinstance(v, dict) else None)
+def test_generator_output_collision_is_usage_error(tmp_path, capsys, command, flags):
+    """corrupt and ingest exit 2, and leave every file as it was, when an
+    output names the same file as an input or as the other output."""
+    _pipeline_files(tmp_path)
+    (tmp_path / "d.csv").write_text("1,2,,4\n5,6,7,8\n")
+    before = _files(tmp_path)
+    paths = {**GENERATOR_INPUTS[command], **flags}
+    argv = [a for flag, name in paths.items() for a in (flag, tmp_path / name)]
+    assert run(command, *GENERATOR_OPTIONS[command], *argv) == 2
     assert "would overwrite" in capsys.readouterr().err
     assert _files(tmp_path) == before
 

@@ -1,12 +1,10 @@
 """Solver tests: ADMM mechanics via iteration hooks, degeneracies, errors."""
 
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tensorfill import solvers
 from tensorfill.datagen import SyntheticSpec, rm_mask, synthesize
 from tensorfill.errors import InputError, NumericError, UsageError
 from tensorfill.metrics import evaluate
@@ -168,16 +166,6 @@ def test_solver_deterministic():
     assert a.objective_history == b.objective_history
 
 
-def test_thread_count_does_not_change_results():
-    y, mask = _instance(14)
-    base = SolverConfig("tcpfnc", rho=1e-3, max_iters=12)
-    threaded = SolverConfig("tcpfnc", rho=1e-3, max_iters=12, threads=3)
-    a = complete(y * mask, mask, base)
-    b = complete(y * mask, mask, threaded)
-    np.testing.assert_array_equal(a.recovered, b.recovered)
-    assert a.objective_history == b.objective_history
-
-
 def test_noiseless_rank1_recovery_meets_frozen_threshold():
     y = synthesize(SyntheticSpec((8, 6, 5), 1, 0.0, 21))
     mask = rm_mask((8, 6, 5), 0.3, 22)
@@ -233,15 +221,13 @@ def test_config_validation():
         SolverConfig("rtcpfnc", lam=-1.0)
     with pytest.raises(UsageError):
         SolverConfig("tnn", truncation_rate=1.5)
-    with pytest.raises(UsageError):
-        SolverConfig("tcpfnc", threads=0)
     for value in (np.nan, np.inf, -np.inf):
         for bad in ({"rho": value}, {"tol": value}, {"lam": value},
                     {"epsilon": value}, {"alpha": (value, 0.5, 0.5)}):
             with pytest.raises(UsageError):
                 SolverConfig("rtcpfnc", **bad)
-    for bad in ({"max_iters": 2.5}, {"max_iters": True}, {"threads": True},
-                {"threads": 1.5}, {"truncation_rate": 1.0}, {"rho": "fast"},
+    for bad in ({"max_iters": 2.5}, {"max_iters": True},
+                {"truncation_rate": 1.0}, {"rho": "fast"},
                 {"alpha": (True, False, False)}, {"alpha": 1.0}):
         with pytest.raises(UsageError):
             SolverConfig("tnn", **bad)
@@ -382,52 +368,30 @@ def test_in_place_loop_matches_reference_when_stopping_on_tol():
     assert result.converged and result.iterations < cfg.max_iters
 
 
-@pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("method", METHODS)
-def test_blocked_workspace_loop_matches_reference(method, threads):
+def test_blocked_workspace_loop_matches_reference(method):
     """40x30x20 is one full block of the elementwise steps and a partial
     one, and Fortran-ordered inputs (the layout the readers return) are
     laid out again in C order by the loop."""
     y, mask = _outlier_instance(24, (40, 30, 20))
     assert BLOCK < y.size < 2 * BLOCK
     cfg = SolverConfig(method, rho=1e-3, lam=1e-4, truncation_rate=0.3,
-                       tol=1e-30, max_iters=15, threads=threads)
+                       tol=1e-30, max_iters=15)
     result = _assert_matches_reference(
         np.asfortranarray(y), np.asfortranarray(mask), cfg)
     if method == "rtcpfnc":
         assert np.count_nonzero(result.anomaly) > 0
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_pooled_mode_updates_match_reference(method, monkeypatch):
-    """With threads=3 every mode builds its shrinkage input, and copies it
-    into its unfolding, before any mode's kernel runs, so a workspace
-    shared between modes would show."""
-    barrier = threading.Barrier(3, timeout=30)
-    real_shrinkage = solvers.apply_shrinkage
-
-    def shrink_after_all_modes(*args, **kwargs):
-        barrier.wait()
-        return real_shrinkage(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "apply_shrinkage", shrink_after_all_modes)
-    y, mask = _outlier_instance(21, (9, 8, 7))
-    cfg = SolverConfig(method, rho=1e-3, lam=1e-2, truncation_rate=0.3,
-                       tol=1e-30, max_iters=10, threads=3)
-    _assert_matches_reference(y, mask, cfg)
-
-
-@pytest.mark.parametrize("method, threads, tensors", [
-    ("halrtc", 1, 10), ("rtcpfnc", 1, 13), ("halrtc", 3, 14), ("rtcpfnc", 3, 17)])
-def test_solve_peak_memory_in_tensors(method, threads, tensors):
+@pytest.mark.parametrize("method, tensors", [("halrtc", 10), ("rtcpfnc", 13)])
+def test_solve_peak_memory_in_tensors(method, tensors):
     """At 120x96x60 a solve allocates nothing tensor-sized after set-up: its
     peak traced memory is the state (M, L_k, T_k, [E_k], and hidden and
-    observed at one byte an entry) plus two workspace buffers per
-    concurrent mode update, about 9.3 tensors for halrtc and 12.4 for
-    rtcpfnc, and 13.4 and 16.4 with threads=3."""
+    observed at one byte an entry) plus two workspace buffers, about 9.3
+    tensors for halrtc and 12.4 for rtcpfnc."""
     y, mask = _instance(25, dims=(120, 96, 60))
     observed = y * mask
-    cfg = SolverConfig(method, rho=1e-3, tol=1e-30, max_iters=2, threads=threads)
+    cfg = SolverConfig(method, rho=1e-3, tol=1e-30, max_iters=2)
     tracemalloc.start()
     try:
         complete(observed, mask, cfg)

@@ -161,7 +161,6 @@ PARAMETERS = {
     "SolverConfig.tol": lambda v: _solve(tol=v),
     "SolverConfig.max_iters": lambda v: _solve(max_iters=v),
     "SolverConfig.truncation_rate": lambda v: _solve(method="tnn", truncation_rate=v),
-    "SolverConfig.threads": lambda v: _solve(threads=v),
     "LogRule.tau": lambda v: _use_rule(LogRule(v)),
     "LogRule.epsilon": lambda v: _use_rule(LogRule(1.0, v)),
     "LogRule.tau, subnormal epsilon": lambda v: _use_rule(LogRule(v, 5e-324)),
