@@ -226,7 +226,7 @@ def cmd_mask(args):
     else:
         mask = nm_mask(dims, args.rate, args.seed)
     write_mask(args.out, mask)
-    missing = 1.0 - mask.mean()
+    missing = np.mean(~mask)
     print(f"mask: pattern={args.pattern} missing_fraction={missing:.3f} -> {args.out}")
     if args.pattern == "nm":
         fibers = int(np.sum(mask.sum(axis=1) == 0))
@@ -347,8 +347,7 @@ def _score(truth_path, mask_path, recovered, method, iters, *, on_observed,
     labels.  Returns the report and the row."""
     truth = read_tensor(truth_path)
     mask = read_mask(mask_path)
-    eval_set = mask if on_observed else 1.0 - mask
-    report = evaluate(truth, recovered, eval_set.astype(bool))
+    report = evaluate(truth, recovered, mask if on_observed else ~mask)
     row = format_csv_row(method, truth.shape, pattern, rate, gamma, seed,
                          report.mape, report.rmse, iters)
     return report, row

@@ -62,22 +62,21 @@ def _count(rate, n):
 
 
 def rm_mask(dims, missing_rate, seed):
-    """Random-missing mask: exactly round(rate * n) entries unobserved,
-    drawn uniformly without replacement."""
+    """Random-missing bool mask: exactly round(rate * n) entries unobserved
+    (False), drawn uniformly without replacement."""
     n1, n2, n3 = dims = check_dims(dims)
     check_scalar("missing_rate", missing_rate, 0, 1)
     check_scalar("seed", seed, 0, integer=True)
     n = n1 * n2 * n3
     k = _count(missing_rate, n)
-    flat = np.ones(n)
+    flat = np.ones(n, dtype=bool)
     if k:
-        drop = _rng(seed).choice(n, size=k, replace=False)
-        flat[drop] = 0.0
+        flat[_rng(seed).choice(n, size=k, replace=False)] = False
     return flat.reshape(dims, order="F")
 
 
 def nm_mask(dims, missing_rate, seed):
-    """Non-random-missing mask: whole mode-2 fibers dropped.
+    """Non-random-missing bool mask: whole mode-2 fibers dropped.
 
     round(rate * n1 * n3) of the (i1, i3) fiber positions are drawn uniformly
     and all n2 entries of each are marked missing, so the achieved missing
@@ -88,11 +87,10 @@ def nm_mask(dims, missing_rate, seed):
     check_scalar("seed", seed, 0, integer=True)
     fibers = n1 * n3
     k = _count(missing_rate, fibers)
-    mask = np.ones(dims)
+    mask = np.ones(dims, dtype=bool)
     if k:
-        drop = _rng(seed).choice(fibers, size=k, replace=False)
-        for p in drop:
-            mask[p % n1, :, p // n1] = 0.0
+        for p in _rng(seed).choice(fibers, size=k, replace=False):
+            mask[p % n1, :, p // n1] = False
     return mask
 
 
@@ -101,14 +99,13 @@ def corrupt(y, mask, spec):
 
     Returns (corrupted, omega_c, omega_o): corrupted entries are
     max(y + e, 0) with e ~ U(-s, s); other observed entries keep their
-    values; unobserved entries are 0.  omega_c and omega_o partition the
-    observed set.
+    values; unobserved entries are 0.  omega_c and omega_o are bool masks
+    that partition the observed set.
     """
     y = check_tensor(y, "y")
     mask = check_mask(mask, y.shape)
     rng = _rng(spec.seed)
-    flat_mask = mask.ravel(order="F")
-    observed = np.flatnonzero(flat_mask == 1.0)
+    observed = np.flatnonzero(mask.ravel(order="F"))
     k = _count(spec.gamma, observed.size)
     hit = (
         observed[rng.choice(observed.size, size=k, replace=False)]
@@ -119,15 +116,10 @@ def corrupt(y, mask, spec):
     if k:
         noise = rng.uniform(-spec.s, spec.s, size=k)
         flat[hit] = np.maximum(flat[hit] + noise, 0.0)
-    omega_c = np.zeros(flat.size)
-    omega_c[hit] = 1.0
-    omega_o = flat_mask - omega_c
-    dims = y.shape
-    return (
-        flat.reshape(dims, order="F"),
-        omega_c.reshape(dims, order="F"),
-        omega_o.reshape(dims, order="F"),
-    )
+    omega_c = np.zeros(flat.size, dtype=bool)
+    omega_c[hit] = True
+    omega_c = omega_c.reshape(y.shape, order="F")
+    return flat.reshape(y.shape, order="F"), omega_c, mask & ~omega_c
 
 
 def synthesize(spec):

@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from .errors import InputError
-from .tensor import check_mask, check_tensor
+from .tensor import check_dims, check_mask, check_tensor
 
 TENSOR_MAGIC = b"TNS1"
 MASK_MAGIC = b"MSK1"
@@ -90,22 +90,21 @@ def read_tensor(path):
 
 
 def write_mask(path, mask):
-    """Serialize a binary mask to an MSK1 file."""
+    """Serialize a mask to an MSK1 file: a bool's bytes are the 0s and 1s."""
     mask = check_mask(mask)
     header = _HEADER.pack(MASK_MAGIC, *mask.shape)
-    body = mask.astype(np.uint8).tobytes(order="F")
-    atomic_write_bytes(path, header + body)
+    atomic_write_bytes(path, header + mask.tobytes(order="F"))
 
 
 def read_mask(path):
-    """Read an MSK1 file back into a float64 array of 0s and 1s."""
+    """Read an MSK1 file back into a bool array, True where observed."""
     raw = _read_file(path)
     dims = _read_header(raw, MASK_MAGIC, path)
     count = dims[0] * dims[1] * dims[2]
     found = len(raw) - _HEADER.size
     if found != count:
         raise InputError(f"{path}: expected {count} mask bytes, found {found}")
-    # a view of the file bytes; check_mask makes the one float64 copy
+    # a view of the file bytes; check_mask makes the one bool copy
     flags = np.frombuffer(raw, np.uint8, count, _HEADER.size)
     return check_mask(flags.reshape(dims, order="F"), name=f"{path}: mask")
 
@@ -115,12 +114,13 @@ def ingest_csv(path, dims):
 
     Column j (0-based) of row i1 maps to entry (i1, j % n2, j // n2), so the
     mode-0 unfolding of the result equals the CSV grid.  Blank cells become
-    unobserved: mask 0 and value 0.  Raises InputError on a file that is not
+    unobserved: mask False and value 0.  Raises UsageError unless ``dims``
+    passes :func:`tensor.check_dims`, and InputError on a file that is not
     UTF-8 CSV, on a row count or row width that does not match ``dims``
     (both checked before the tensor is allocated), and on non-numeric
     cells, reporting the 1-based row and column.
     """
-    n1, n2, n3 = dims
+    n1, n2, n3 = check_dims(dims)
     ncols = n2 * n3
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -138,12 +138,12 @@ def ingest_csv(path, dims):
                 f"{path}: row {i + 1} has {len(row)} columns, expected {ncols}"
             )
     values = np.zeros((n1, ncols))
-    flags = np.ones((n1, ncols))
+    flags = np.ones((n1, ncols), dtype=bool)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             text = cell.strip()
             if text == "":
-                flags[i, j] = 0.0
+                flags[i, j] = False
                 continue
             try:
                 values[i, j] = float(text)

@@ -36,11 +36,10 @@ def evaluate(truth, recovered, eval_set):
             f"recovered shape {recovered.shape} does not match truth "
             f"shape {truth.shape}"
         )
-    sel = eval_set == 1.0
-    if not np.any(sel):
+    if not np.any(eval_set):
         raise InputError("evaluation set is empty")
-    y = truth[sel]
-    yhat = recovered[sel]
+    y = truth[eval_set]
+    yhat = recovered[eval_set]
     err = y - yhat
     rmse = float(np.sqrt(np.mean(err ** 2)))
     nonzero = np.abs(y) >= ZERO_TRUTH_CUTOFF
@@ -70,10 +69,9 @@ def anomaly_score(e_hat, omega_c, threshold):
     e_hat = check_tensor(e_hat, "e_hat")
     omega_c = check_mask(omega_c, e_hat.shape, name="omega_c")
     predicted = np.abs(e_hat) > threshold
-    actual = omega_c == 1.0
-    tp = float(np.count_nonzero(predicted & actual))
+    tp = float(np.count_nonzero(predicted & omega_c))
     n_pred = float(np.count_nonzero(predicted))
-    n_act = float(np.count_nonzero(actual))
+    n_act = float(np.count_nonzero(omega_c))
     precision = tp / n_pred if n_pred else 1.0
     recall = tp / n_act if n_act else 1.0
     f1 = (

@@ -41,9 +41,11 @@ observed``.  The loop owns one workspace of two flat buffers of
   kernels ``A`` holds ``M`` before the constraint.
 
 So the working set is 7.25 tensors of state (``M``, the three ``L_k`` and
-``T_k``, the two bool masks at one byte an entry) plus 2 of workspace,
-and 3 more for ``E_k`` in the robust method: at 120x96x60 the traced peak
-is 9.3 tensors for ``halrtc`` and 12.4 for ``rtcpfnc``.  The elementwise
+``T_k``, and ``hidden`` and ``observed``, C-ordered bool tensors at one
+byte an entry made from the caller's bool mask, as
+:func:`tensor.check_mask` returns it) plus 2 of workspace, and 3 more for
+``E_k`` in the robust method: at 120x96x60 the traced peak is 9.3
+tensors for ``halrtc`` and 12.4 for ``rtcpfnc``.  The elementwise
 steps (consensus, constraint, the anomaly step with its soft threshold,
 and the multiplier update) run fused over flat C-order views in blocks of
 :data:`BLOCK` entries, so the operands of one block stay in L2.
@@ -227,10 +229,9 @@ def complete(y, mask, cfg, iter_hook=None):
     ]
 
     size = y.size
-    # C-ordered; hidden and observed as bool give the products of 1 - mask
-    # and mask
+    # C-ordered; hidden and observed give the products of 1 - mask and mask
     m = np.multiply(y, mask, order="C")
-    hidden = np.equal(mask, 0.0, order="C")
+    hidden = np.logical_not(mask, order="C")
     observed = ~hidden
     lk = np.zeros((3,) + dims)
     tk = np.zeros((3,) + dims)

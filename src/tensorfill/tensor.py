@@ -19,12 +19,14 @@ from .errors import InputError, UsageError
 def check_tensor(x, name="tensor"):
     """Validate a dense third-order tensor and return it as float64.
 
-    Raises InputError if ``x`` is not 3-D, cannot be cast to float, or
-    contains non-finite values.
+    Raises InputError if ``x`` is not 3-D, is complex or cannot be cast
+    to float, or contains non-finite values.
     """
     arr = np.asarray(x)
     if arr.ndim != 3:
         raise InputError(f"{name} must be 3-D, got {arr.ndim}-D")
+    if arr.dtype.kind == "c":
+        raise InputError(f"{name} is not real: dtype {arr.dtype}")
     try:
         arr = arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
@@ -35,18 +37,25 @@ def check_tensor(x, name="tensor"):
 
 
 def check_mask(mask, shape=None, name="mask"):
-    """Validate a binary mask tensor and return it as float64 of 0s and 1s."""
+    """Validate an observation mask and return it as bool, True where an
+    entry is observed.  This is the one place that knows other forms of a
+    mask: a bool array is returned as is, and an integer or real array of
+    0s and 1s is converted.  Raises InputError on any other dtype
+    (complex, string, object), on another value, and unless the mask is
+    3-D and of ``shape`` (when given)."""
     arr = np.asarray(mask)
     if arr.ndim != 3:
         raise InputError(f"{name} must be 3-D, got {arr.ndim}-D")
-    arr = arr.astype(np.float64, copy=False)
-    if not np.all((arr == 0.0) | (arr == 1.0)):
+    if arr.dtype.kind not in "biuf":
+        raise InputError(f"{name} must be bool, integer or real, got {arr.dtype}")
+    observed = arr.astype(bool, copy=False)
+    if not np.array_equal(observed, arr):
         raise InputError(f"{name} entries must be 0 or 1")
     if shape is not None and arr.shape != tuple(shape):
         raise InputError(
             f"{name} shape {arr.shape} does not match tensor shape {tuple(shape)}"
         )
-    return arr
+    return observed
 
 
 def check_scalar(name, value, low, high=math.inf, *, integer=False,

@@ -1,7 +1,9 @@
 """CLI tests: subcommand contracts, manifests, exit codes, determinism."""
 
 import json
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +303,37 @@ def test_rerun_detects_recorded_row_drift(tmp_path, capsys):
     man.write_text(json.dumps(manifest))
     assert run("rerun", "--manifest", man, "--workdir", tmp_path / "replay") == 1
     assert "differs" in capsys.readouterr().out
+
+
+# Files that tensorfill wrote while it held masks as float64 in memory; its
+# README gives the commands.
+FLOAT_MASK_RUNS = Path(__file__).parent / "data" / "float_mask_runs"
+
+
+@pytest.mark.parametrize("manifest", ["robust.json", "plain.json"])
+def test_rerun_replays_a_run_recorded_with_float_masks(tmp_path, monkeypatch,
+                                                        capsys, manifest):
+    """The recovered and anomaly tensors and the CSV row of a run recorded
+    before masks became bool replay bit for bit."""
+    shutil.copytree(FLOAT_MASK_RUNS, tmp_path / "runs")
+    monkeypatch.chdir(tmp_path / "runs")
+    assert run("rerun", "--manifest", manifest, "--workdir", tmp_path / "w") == 0
+    assert capsys.readouterr().out.endswith("rerun: identical\n")
+
+
+def test_mask_and_corrupt_write_the_recorded_bytes(tmp_path, monkeypatch):
+    """mask and corrupt write the MSK1 and TNS1 bytes they wrote when masks
+    were float64 in memory."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(FLOAT_MASK_RUNS / "truth.tns", "truth.tns")
+    for pattern, seed in (("nm", "4"), ("rm", "6")):
+        assert run("mask", "--dims", "6,5,4", "--pattern", pattern, "--rate",
+                   "0.3", "--seed", seed, "-o", f"{pattern}.msk") == 0
+    assert run("corrupt", "--tensor", "truth.tns", "--mask", "nm.msk",
+               "--gamma", "0.1", "--s", "20", "--seed", "5",
+               "-o", "corrupted.tns", "--omega-out", "omega.msk") == 0
+    for name in ("nm.msk", "rm.msk", "omega.msk", "corrupted.tns"):
+        assert (tmp_path / name).read_bytes() == (FLOAT_MASK_RUNS / name).read_bytes()
 
 
 def test_rerun_missing_manifest_is_input_error(tmp_path):

@@ -18,6 +18,7 @@ from tensorfill.errors import UsageError
 
 def test_rm_mask_exact_missing_count():
     mask = rm_mask((10, 10, 10), 0.4, 7)
+    assert mask.dtype == np.bool_
     assert mask.size - mask.sum() == 400
     assert 1.0 - mask.mean() == pytest.approx(0.400)
 
@@ -36,6 +37,7 @@ def test_rm_mask_rate_zero_and_one():
 def test_nm_mask_drops_whole_fibers():
     dims = (5, 12, 4)
     mask = nm_mask(dims, 0.6, 3)
+    assert mask.dtype == np.bool_
     fiber_sums = mask.sum(axis=1)
     assert np.all((fiber_sums == 0) | (fiber_sums == 12))
     assert int(np.sum(fiber_sums == 0)) == 12
@@ -80,9 +82,10 @@ def test_corrupt_count_and_containment():
     corrupted, omega_c, omega_o = corrupt(y, mask, spec)
     n_obs = int(mask.sum())
     assert omega_c.sum() == round(0.1 * n_obs)
+    assert omega_c.dtype == omega_o.dtype == np.bool_
     # Corrupted and clean sets partition the observed set.
-    np.testing.assert_array_equal(omega_c + omega_o, mask)
-    assert np.all(omega_c * (1.0 - mask) == 0.0)
+    np.testing.assert_array_equal(omega_c | omega_o, mask)
+    assert not np.any(omega_c & omega_o)
 
 
 def test_corrupt_changes_only_corrupted_entries():
@@ -129,9 +132,12 @@ def test_corrupt_deterministic():
     mask = np.ones((4, 4, 4))
     spec = CorruptionSpec(0.25, 5.0, 42)
     a = corrupt(y, mask, spec)
-    b = corrupt(y, mask, spec)
-    for left, right in zip(a, b):
-        np.testing.assert_array_equal(left, right)
+    # a float, an integer and a bool mask give the same outputs
+    for same in (mask, mask.astype(int), mask.astype(bool)):
+        b = corrupt(y, same, spec)
+        for left, right in zip(a, b):
+            assert left.dtype == right.dtype
+            np.testing.assert_array_equal(left, right)
 
 
 def test_synthesize_shape_and_positivity():

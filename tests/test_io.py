@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tensorfill.errors import InputError
+from tensorfill.errors import InputError, UsageError
 from tensorfill.io import (
     MASK_MAGIC,
     TENSOR_MAGIC,
@@ -41,10 +41,12 @@ def test_tensor_fortran_value_order(tmp_path):
 
 
 def test_mask_file_byte_layout(tmp_path):
+    """A float, an integer and a bool mask write the same MSK1 bytes."""
     path = tmp_path / "m.msk"
-    mask = np.array([[[1.0, 0.0]]])
-    write_mask(path, mask)
-    assert path.read_bytes() == struct.pack("<4s3Q", MASK_MAGIC, 1, 1, 2) + b"\x01\x00"
+    for dtype in (np.float64, np.int64, np.bool_):
+        write_mask(path, np.array([[[1, 0]]], dtype=dtype))
+        assert path.read_bytes() == (
+            struct.pack("<4s3Q", MASK_MAGIC, 1, 1, 2) + b"\x01\x00")
 
 
 def test_tensor_roundtrip_bit_exact(tmp_path):
@@ -62,20 +64,29 @@ def test_tensor_roundtrip_bit_exact(tmp_path):
 def test_mask_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(6)
     path = tmp_path / "m.msk"
-    mask = (rng.uniform(size=(5, 2, 7)) < 0.5).astype(float)
-    write_mask(path, mask)
-    np.testing.assert_array_equal(read_mask(path), mask)
+    mask = rng.uniform(size=(5, 2, 7)) < 0.5
+    write_mask(path, mask.astype(float))
+    first = path.read_bytes()
+    back = read_mask(path)
+    assert back.dtype == np.bool_
+    np.testing.assert_array_equal(back, mask)
+    write_mask(path, back)
+    assert path.read_bytes() == first
 
 
-# Peak traced memory of one read, in float64 tensors of the read's shape:
-# the file's bytes, one float64 copy of the body and the checks' bool
-# temporaries (isfinite for a tensor, three for a mask).  Slicing the body
-# before converting it gave 3.13 and 1.63.
-READ_PEAKS = [(read_tensor, write_tensor, 2.2), (read_mask, write_mask, 1.55)]
+# Peak traced memory of one read, in bytes per entry, and the dtype it
+# returns.  A tensor read holds the file's bytes, one float64 copy of the
+# body and isfinite's bool temporary: at most 2.2 float64 tensors.  A mask
+# read holds the file's bytes, the bool copy and the bool temporary of the
+# 0/1 check: 3.08 bytes per entry.  Slicing the body before converting it
+# gave 3.13 float64 tensors.
+READ_PEAKS = [(read_tensor, write_tensor, np.float64, 2.2 * 8),
+              (read_mask, write_mask, np.bool_, 3.25)]
 
 
-@pytest.mark.parametrize("read, write, tensors", READ_PEAKS)
-def test_read_copies_the_file_body_once(tmp_path, read, write, tensors):
+@pytest.mark.parametrize("read, write, dtype, bytes_per_entry", READ_PEAKS)
+def test_read_copies_the_file_body_once(tmp_path, read, write, dtype,
+                                        bytes_per_entry):
     path = tmp_path / "x.bin"
     dims = (60, 50, 40)
     write(path, (np.random.default_rng(7).uniform(size=dims) < 0.5).astype(float))
@@ -85,10 +96,10 @@ def test_read_copies_the_file_body_once(tmp_path, read, write, tensors):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert x.shape == dims and x.dtype == np.float64 and x.flags.writeable
+    assert x.shape == dims and x.dtype == dtype and x.flags.writeable
     # the values live in an array of their own, not in the file's bytes
     assert (x if x.base is None else x.base).flags.owndata
-    assert peak <= tensors * x.nbytes
+    assert peak <= bytes_per_entry * x.size
 
 
 def test_tensor_file_size_formula(tmp_path):
@@ -155,7 +166,8 @@ def test_ingest_blank_cell_becomes_missing(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("1,2,,4\n5,6,7,8\n")
     tensor, mask = ingest_csv(path, (2, 2, 2))
-    assert mask[0, 0, 1] == 0.0
+    assert mask.dtype == np.bool_
+    assert not mask[0, 0, 1]
     assert tensor[0, 0, 1] == 0.0
     assert mask.sum() == 7
 
@@ -179,3 +191,11 @@ def test_ingest_rejects_wrong_row_count(tmp_path):
     path.write_text("1,2,3,4\n")
     with pytest.raises(InputError):
         ingest_csv(path, (2, 2, 2))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, True, 4), (2, -2, -2), "2,2,2"])
+def test_ingest_rejects_bad_dims(tmp_path, dims):
+    path = tmp_path / "d.csv"
+    path.write_text("1,2,3,4\n5,6,7,8\n")
+    with pytest.raises(UsageError, match="dims"):
+        ingest_csv(path, dims)

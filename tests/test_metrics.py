@@ -23,6 +23,9 @@ def test_evaluate_worked_example():
     assert report.rmse == pytest.approx(math.sqrt(62.5), abs=1e-4)
     assert report.n_evaluated == 2
     assert report.n_excluded_zero == 0
+    # a real or integer 0/1 evaluation set scores the same as the bool one
+    for same in (sel.astype(float), sel.astype(np.uint8)):
+        assert evaluate(truth, rec, same) == report
 
 
 def test_evaluate_perfect_recovery():
@@ -145,6 +148,8 @@ def test_anomaly_score_mixed_counts():
     e_hat[0, 0, 0] = 5.0  # true positive
     e_hat[0, 0, 2] = -5.0  # false positive (negative spike still counts)
     precision, recall, f1 = anomaly_score(e_hat, omega_c, 1.0)
+    for same in (omega_c.astype(bool), omega_c.astype(int)):
+        assert anomaly_score(e_hat, same, 1.0) == (precision, recall, f1)
     assert precision == pytest.approx(0.5)
     assert recall == pytest.approx(0.5)
     assert f1 == pytest.approx(0.5)

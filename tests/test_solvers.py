@@ -383,6 +383,28 @@ def test_blocked_workspace_loop_matches_reference(method):
         assert np.count_nonzero(result.anomaly) > 0
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_mask_dtype_does_not_change_the_solve(method):
+    """A float64, an integer and a bool 0/1 mask give the same bytes: the
+    recovered and anomaly tensors (signs of zeros included), the iteration
+    count and the objective history."""
+    y, mask = _outlier_instance(27, (9, 8, 7))
+    assert mask.dtype == np.bool_
+    y_obs = y * mask
+    cfg = SolverConfig(method, rho=1e-3, lam=1e-2, truncation_rate=0.3,
+                       tol=1e-30, max_iters=25)
+    base = complete(y_obs, mask, cfg)
+    for same in (mask.astype(np.float64), mask.astype(np.int64)):
+        result = complete(y_obs, same, cfg)
+        assert result.recovered.tobytes() == base.recovered.tobytes()
+        if method == "rtcpfnc":
+            assert result.anomaly.tobytes() == base.anomaly.tobytes()
+        else:
+            assert result.anomaly is None
+        assert result.iterations == base.iterations
+        assert result.objective_history == base.objective_history
+
+
 @pytest.mark.parametrize("method, tensors", [("halrtc", 10), ("rtcpfnc", 13)])
 def test_solve_peak_memory_in_tensors(method, tensors):
     """At 120x96x60 a solve allocates nothing tensor-sized after set-up: its

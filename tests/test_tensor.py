@@ -110,10 +110,37 @@ def test_check_tensor_rejects_non_finite():
         check_tensor(x, "x")
 
 
+def test_check_tensor_rejects_complex_and_non_numeric():
+    with pytest.raises(InputError, match="not real"):
+        check_tensor(np.array([[[1 + 2j]]]))
+    with pytest.raises(InputError, match="not numeric"):
+        check_tensor(np.array([[["a"]]]))
+
+
 def test_check_mask_rejects_non_binary():
-    mask = np.full((2, 2, 2), 0.5)
-    with pytest.raises(InputError):
-        check_mask(mask, (2, 2, 2))
+    for value in (0.5, 2, -1, np.nan, np.inf):
+        with pytest.raises(InputError, match="0 or 1"):
+            check_mask(np.full((2, 2, 2), value), (2, 2, 2))
+
+
+@pytest.mark.parametrize("mask", [np.array([[[1 + 1j]]]), np.array([[["a"]]]),
+                                  np.array([[[1]]], dtype=object)],
+                         ids=["complex", "string", "object"])
+def test_check_mask_rejects_complex_and_non_numeric(mask):
+    with pytest.raises(InputError, match="bool, integer or real"):
+        check_mask(mask)
+
+
+def test_check_mask_returns_bool():
+    """A bool mask is returned as is; integer and real 0/1 masks (-0.0
+    included) become the same bool mask."""
+    flags = np.random.default_rng(3).uniform(size=(3, 4, 2)) < 0.5
+    assert check_mask(flags, (3, 4, 2)) is flags
+    for dtype in (np.uint8, np.int64, np.float32, np.float64):
+        out = check_mask(flags.astype(dtype), (3, 4, 2))
+        assert out.dtype == np.bool_
+        np.testing.assert_array_equal(out, flags)
+    assert not check_mask(np.full((1, 1, 2), -0.0)).any()
 
 
 def test_check_mask_rejects_shape_mismatch():
