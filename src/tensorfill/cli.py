@@ -69,6 +69,7 @@ from .io import (
     write_tensor,
 )
 from .metrics import evaluate
+from .prox import DEFAULT_EPSILON
 from .solvers import METHODS, SolverConfig, complete, default_lambda
 from .tensor import check_dims, check_scalar
 
@@ -85,11 +86,12 @@ FILE_KEYS = {"role": str, "path": str, "sha256": str}
 EVAL_LABELS = {"on_observed": bool, "pattern": str, "rate": NUMBER,
                "gamma": NUMBER, "seed": int}
 EVAL_KEYS = {"truth": dict, "mask": dict, **EVAL_LABELS}
-# The config keys a manifest may record: the SolverConfig fields, and the
-# ``threads`` of older manifests, the size of a per-mode thread pool that
-# has since been removed.  Its results were bit-identical to serial, so
-# rerun checks the value and otherwise ignores it.
-CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(SolverConfig)) | {"threads"}
+# The config keys a manifest may record: the SolverConfig fields, and two
+# of older manifests.  ``threads`` sized a removed per-mode thread pool whose
+# results were bit-identical to serial, so rerun checks it and ignores it;
+# ``epsilon``, once a field, replays only at the constant DEFAULT_EPSILON.
+CONFIG_KEYS = (frozenset(f.name for f in dataclasses.fields(SolverConfig))
+               | {"threads", "epsilon"})
 
 
 def _parse_dims(text):
@@ -159,13 +161,16 @@ def _write_json(path, payload):
 def _require(record, keys, where):
     """Raise InputError unless ``record`` is a JSON object holding ``keys``,
     a mapping of each key to the type (or types) of its value, and the path
-    of a file record holds no NUL byte (no file name can)."""
+    of a file record holds no NUL byte (no file name can).  A JSON true or
+    false is a bool only, never an integer or a number."""
     if not isinstance(record, dict):
         raise InputError(f"{where} is not a JSON object")
     missing = [k for k in keys if k not in record]
     if missing:
         raise InputError(f"{where} lacks {', '.join(missing)}")
-    mistyped = [k for k, kind in keys.items() if not isinstance(record[k], kind)]
+    mistyped = [k for k, kind in keys.items()
+                if not isinstance(record[k], kind)
+                or (isinstance(record[k], bool) and kind is not bool)]
     if mistyped:
         raise InputError(f"{where}: {', '.join(mistyped)} of the wrong type")
     if keys is FILE_KEYS and "\0" in record["path"]:
@@ -203,7 +208,19 @@ def _load_manifest(path):
         _require(manifest["eval"], EVAL_KEYS, f"{where}: eval")
         for key in ("truth", "mask"):
             _require(manifest["eval"][key], FILE_KEYS, f"{where}: eval {key}")
+        try:
+            _check_labels(manifest["eval"])
+        except UsageError as exc:
+            raise InputError(f"{where}: bad eval value: {exc}")
     return manifest
+
+
+def _check_labels(labels):
+    """Raise UsageError unless rate and gamma lie in [0, 1] and seed is an
+    integer >= 0, the domains of ``mask``, ``corrupt`` and every seed."""
+    for name in ("rate", "gamma"):
+        check_scalar(name, labels[name], 0, 1)
+    check_scalar("seed", labels["seed"], 0, integer=True)
 
 
 def cmd_synth(args):
@@ -359,12 +376,13 @@ def cmd_eval(args):
         ("manifest", args.manifest)) if path is not None]
     _check_targets(written, [("truth", args.truth), ("mask", args.mask),
                              ("recovered", args.recovered)])
+    labels = {key: getattr(args, key) for key in EVAL_LABELS}
+    _check_labels(labels)
     recovered = read_tensor(args.recovered)
     method, iters, manifest = "-", 0, None
     if args.manifest is not None:
         manifest = _load_manifest(args.manifest)
         method, iters = manifest["method"], manifest["iterations"]
-    labels = {key: getattr(args, key) for key in EVAL_LABELS}
     report, row = _score(args.truth, args.mask, recovered, method, iters, **labels)
 
     payload = dataclasses.asdict(report)
@@ -407,6 +425,9 @@ def cmd_rerun(args):
     try:
         if "threads" in config:
             check_scalar("threads", config.pop("threads"), 1, integer=True)
+        epsilon = config.pop("epsilon", DEFAULT_EPSILON)
+        if epsilon != DEFAULT_EPSILON:
+            raise UsageError(f"epsilon must be {DEFAULT_EPSILON!r}, got {epsilon!r}")
         cfg = SolverConfig(**config)
     except (UsageError, TypeError, ValueError) as exc:
         raise InputError(f"manifest {args.manifest}: bad config value: {exc}")

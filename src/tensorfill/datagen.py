@@ -112,7 +112,7 @@ def corrupt(y, mask, spec):
         if k
         else np.empty(0, dtype=np.int64)
     )
-    flat = (y * mask).ravel(order="F").copy()
+    flat = (y * mask).ravel(order="F")
     if k:
         noise = rng.uniform(-spec.s, spec.s, size=k)
         flat[hit] = np.maximum(flat[hit] + noise, 0.0)

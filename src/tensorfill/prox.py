@@ -8,7 +8,8 @@ spectrum.  There are two rules:
 * :class:`LogRule`: the log-determinant surrogate
   sum(log(sigma_i + epsilon)), thresholded by tau * 1/(sigma_prev + epsilon).
   Larger singular values receive smaller thresholds, so dominant structure
-  is preserved while small (noise) values are shrunk hard.
+  is preserved while small (noise) values are shrunk hard.  epsilon is the
+  constant :data:`DEFAULT_EPSILON`, not a parameter.
 * :class:`TruncatedRule`: the truncated nuclear norm sum_{i >= r} sigma_i.
   The largest ``r`` values pass through unshrunk and the rest get the
   uniform threshold tau; with ``r = 0`` it is the plain nuclear norm and its
@@ -64,37 +65,30 @@ def log_weights(sigma_prev, epsilon):
 @dataclass(frozen=True)
 class LogRule:
     """Log-determinant surrogate with threshold scale ``tau`` (alpha_k / rho
-    in the solvers) and positivity constant ``epsilon``."""
+    in the solvers); its positivity constant is :data:`DEFAULT_EPSILON`."""
 
     tau: float
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         check_scalar("tau", self.tau, 0)
-        check_scalar("epsilon", self.epsilon, 0, open_low=True)
 
     def thresholds(self, sigma, sigma_prev=None):
         """tau / (base + epsilon), with base the previous iterate's spectrum
-        ``sigma_prev``, or ``sigma`` itself on a cold start; all 0 when tau
-        is 0."""
+        ``sigma_prev``, or ``sigma`` itself on a cold start."""
         base = sigma if sigma_prev is None else np.asarray(sigma_prev)
         if len(base) != len(sigma):
             raise UsageError(
                 f"sigma_prev length {len(base)} does not match spectrum "
                 f"size {len(sigma)}"
             )
-        # a zero tau thresholds nothing, even where a subnormal epsilon
-        # makes a weight infinite (0 * inf would be NaN)
-        if self.tau == 0:
-            return np.zeros(len(base))
-        # a tiny epsilon or a huge tau overflows to an infinite threshold,
-        # which zeroes its value as any threshold above it would
+        # a huge tau overflows to an infinite threshold, which zeroes its
+        # value as any threshold above it would
         with np.errstate(over="ignore"):
-            return self.tau * log_weights(base, self.epsilon)
+            return self.tau * log_weights(base, DEFAULT_EPSILON)
 
     def penalty(self, sigma):
         """sum_i log(sigma_i + epsilon)."""
-        return float(np.sum(np.log(sigma + self.epsilon)))
+        return float(np.sum(np.log(sigma + DEFAULT_EPSILON)))
 
 
 @dataclass(frozen=True)

@@ -83,13 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, UsageError
-from .prox import (
-    DEFAULT_EPSILON,
-    LogRule,
-    TruncatedRule,
-    apply_shrinkage,
-    soft_threshold,
-)
+from .prox import LogRule, TruncatedRule, apply_shrinkage, soft_threshold
 # apply_constraint and unfold are no longer called by the loop; they stay
 # importable here because perfbench wraps the layer functions under their
 # solvers names.
@@ -101,10 +95,10 @@ from .tensor import (apply_constraint, check_mask, check_scalar,  # noqa: F401
 # r_k = round(truncation_rate * n_k), capped below the smaller side of the
 # mode-k unfolding; only tnn uses r_k.
 RULES = {
-    "tcpfnc": lambda cfg, tau, r: LogRule(tau, cfg.epsilon),
-    "rtcpfnc": lambda cfg, tau, r: LogRule(tau, cfg.epsilon),
-    "halrtc": lambda cfg, tau, r: TruncatedRule(tau),
-    "tnn": lambda cfg, tau, r: TruncatedRule(tau, r),
+    "tcpfnc": lambda tau, r: LogRule(tau),
+    "rtcpfnc": lambda tau, r: LogRule(tau),
+    "halrtc": lambda tau, r: TruncatedRule(tau),
+    "tnn": lambda tau, r: TruncatedRule(tau, r),
 }
 METHODS = tuple(RULES)
 # Entries per block of the elementwise steps: 128 KiB per operand block, so
@@ -125,14 +119,14 @@ class SolverConfig:
     ``lam`` (the sparsity weight of the robust method) defaults to None,
     meaning :func:`default_lambda` of the input dims is used at run time.
     ``truncation_rate`` only affects method ``tnn``, where the per-mode
-    exemption count is round(truncation_rate * n_k).
+    exemption count is round(truncation_rate * n_k).  The log rule's
+    epsilon is no field: it is the constant :data:`prox.DEFAULT_EPSILON`.
     """
 
     method: str
     alpha: tuple = (1 / 3, 1 / 3, 1 / 3)
     rho: float = 1e-4
     lam: float = None
-    epsilon: float = DEFAULT_EPSILON
     tol: float = 1e-6
     max_iters: int = 200
     truncation_rate: float = 0.0
@@ -147,7 +141,7 @@ class SolverConfig:
         if abs(sum(alpha) - 1.0) > 1e-12:
             raise UsageError(f"alpha must sum to 1, got {sum(alpha)!r}")
         object.__setattr__(self, "alpha", alpha)
-        for name in ("rho", "epsilon", "tol"):
+        for name in ("rho", "tol"):
             check_scalar(name, getattr(self, name), 0, open_low=True)
         if self.lam is not None:
             check_scalar("lambda", self.lam, 0, open_low=True)
@@ -157,20 +151,15 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """End-of-iteration snapshot handed to ``iter_hook`` (arrays are copies).
-
-    ``m_pre_constraint`` is M before observed entries were reset to the data;
-    ``sigmas`` holds each L_k unfolding's (shrunk) singular values.
-    """
+    """End-of-iteration snapshot handed to ``iter_hook`` (arrays are copies):
+    M after and before (``m_pre_constraint``) observed entries are reset to
+    the data, and the per-mode L_k, E_k (None unless robust) and T_k."""
 
     m: np.ndarray
     lk: tuple
     ek: tuple
     tk: tuple
-    iter: int
-    objective_history: list
     m_pre_constraint: np.ndarray
-    sigmas: tuple
 
 
 @dataclass(frozen=True)
@@ -220,11 +209,8 @@ def complete(y, mask, cfg, iter_hook=None):
         if not math.isfinite(weight / float(rho)):
             raise UsageError(f"rho={rho!r} is too small: {name} / rho is not finite")
     rules = [
-        RULES[cfg.method](
-            cfg,
-            cfg.alpha[k] / rho,
-            min(round(cfg.truncation_rate * n), min(n, y.size // n) - 1),
-        )
+        RULES[cfg.method](cfg.alpha[k] / rho,
+                          min(round(cfg.truncation_rate * n), min(n, y.size // n) - 1))
         for k, n in enumerate(dims)
     ]
 
@@ -341,10 +327,7 @@ def complete(y, mask, cfg, iter_hook=None):
                         lk=tuple(x.copy() for x in lk),
                         ek=tuple(x.copy() for x in ek) if robust else None,
                         tk=tuple(x.copy() for x in tk),
-                        iter=it,
-                        objective_history=list(history),
                         m_pre_constraint=a.reshape(dims).copy(),
-                        sigmas=tuple(s.copy() for s in sigmas),
                     )
                 )
 

@@ -237,6 +237,23 @@ def test_eval_missing_file_is_input_error(tmp_path):
                "--mask", tmp_path / "no.msk") == 3
 
 
+@pytest.mark.parametrize("flags", [("--rate", "inf"), ("--rate", "1.5"),
+                                   ("--gamma", "nan"), ("--gamma", "-0.1"),
+                                   ("--seed", "-3")])
+def test_eval_label_outside_its_domain_is_usage_error(tmp_path, capsys, flags):
+    """The row labels --rate and --gamma lie in [0, 1] and --seed is an
+    integer >= 0, the domains of mask --rate, corrupt --gamma and every
+    other --seed; eval writes nothing otherwise."""
+    y, m = _pipeline_files(tmp_path)
+    before = _files(tmp_path)
+    assert run("eval", "--truth", y, "--recovered", y, "--mask", m, *flags,
+               "--json-out", tmp_path / "r.json",
+               "--csv-out", tmp_path / "r.csv") == 2
+    err = capsys.readouterr().err
+    assert flags[0].lstrip("-") in err and "Traceback" not in err
+    assert _files(tmp_path) == before
+
+
 def test_ingest_writes_tensor_and_mask(tmp_path, capsys):
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("1,2,,4\n5,6,7,8\n")
@@ -368,7 +385,7 @@ def test_rerun_manifest_without_inputs_is_input_error(tmp_path, capsys):
 def test_rerun_mistyped_config_value_is_input_error(tmp_path, capsys):
     """A recorded config value of the wrong type or out of range is input."""
     for key, value in (("rho", "fast"), ("max_iters", 2.5), ("threads", True),
-                       ("rho", -1)):
+                       ("rho", -1), ("epsilon", 2e-6)):
         def edit(manifest):
             manifest["config"][key] = value
 
@@ -385,6 +402,44 @@ def test_rerun_replays_a_manifest_recording_threads(tmp_path, capsys):
 
     assert _rerun_edited(tmp_path, edit) == 0
     assert "rerun: identical" in capsys.readouterr().out
+
+
+def test_rerun_replays_a_manifest_recording_epsilon(tmp_path, capsys):
+    """Older manifests record the log rule's constant epsilon, once a config
+    field; at its one value the run replays."""
+    def edit(manifest):
+        assert "epsilon" not in manifest["config"]
+        manifest["config"]["epsilon"] = 1e-06
+
+    assert _rerun_edited(tmp_path, edit) == 0
+    assert "rerun: identical" in capsys.readouterr().out
+
+
+def test_mistyped_manifest_value_is_input_error(tmp_path, capsys):
+    """A JSON true or false where a number is required, and an eval label
+    outside the domain of its flag, exit 3 in rerun and in eval --manifest,
+    before anything is written."""
+    y, m = tmp_path / "y.tns", tmp_path / "m.msk"
+    for record, key, value in ((None, "manifest_version", True),
+                               (None, "iterations", True),
+                               ("eval", "rate", True),
+                               ("eval", "rate", float("inf")),
+                               ("eval", "rate", 1.5),
+                               ("eval", "gamma", float("nan")),
+                               ("eval", "seed", -3)):
+        def edit(manifest):
+            (manifest[record] if record else manifest)[key] = value
+
+        assert _rerun_edited(tmp_path, edit) == 3
+        man = tmp_path / "man.json"
+        before = _files(tmp_path)
+        assert run("eval", "--truth", y, "--recovered", y, "--mask", m,
+                   "--manifest", man, "--json-out", tmp_path / "r.json") == 3
+        assert _files(tmp_path) == before
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 2 and "Traceback" not in err
+        assert key in err
+        assert not (tmp_path / "replay").exists()
 
 
 @pytest.mark.parametrize("flags", [

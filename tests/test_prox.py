@@ -20,7 +20,7 @@ from tensorfill.prox import (
     soft_threshold,
     svd,
 )
-from tensorfill.solvers import RULES, SolverConfig
+from tensorfill.solvers import RULES
 
 
 def weighted_objective(x, z, weights, tau):
@@ -138,8 +138,8 @@ def test_truncated_svt_rank_zero_equals_plain():
     """The table's tnn rule with r = 0 is the halrtc rule."""
     rng = np.random.default_rng(7)
     z = rng.normal(size=(5, 4))
-    tnn = RULES["tnn"](SolverConfig("tnn"), 0.8, 0)
-    plain = RULES["halrtc"](SolverConfig("halrtc"), 0.8, 2)
+    tnn = RULES["tnn"](0.8, 0)
+    plain = RULES["halrtc"](0.8, 2)
     out_t, shrunk_t = apply_shrinkage(z, tnn)
     out_p, shrunk_p = apply_shrinkage(z, plain)
     np.testing.assert_array_equal(out_t, out_p)
@@ -216,11 +216,9 @@ def test_rules_reject_invalid_parameters():
     for make in (
         lambda: LogRule(-1.0),
         lambda: LogRule(np.nan),
-        lambda: LogRule(1.0, epsilon=0.0),
         lambda: TruncatedRule(-1.0),
         lambda: TruncatedRule(1.0, -1),
         lambda: LogRule(np.inf),
-        lambda: LogRule(1.0, epsilon=np.inf),
         lambda: TruncatedRule(1.0, r=1.5),
         lambda: TruncatedRule(1.0, r=True),
         lambda: soft_threshold(np.ones(2), np.nan),
@@ -309,9 +307,8 @@ def test_apply_shrinkage_never_divides_by_zero_singular_values():
 
 
 def test_zero_tau_log_rule_thresholds_nothing():
-    """A zero tau gives zero thresholds even where a subnormal epsilon makes
-    a weight infinite (0 * inf is NaN), so the kernel keeps the spectrum."""
-    rule = LogRule(0.0, 5e-324)
+    """A zero tau gives zero thresholds, so the kernel keeps the spectrum."""
+    rule = LogRule(0.0)
     sigma = np.array([3.0, 2.0, 0.0])
     np.testing.assert_array_equal(rule.thresholds(sigma), 0.0)
     np.testing.assert_array_equal(rule.thresholds(sigma, sigma[::-1]), 0.0)

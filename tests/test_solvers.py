@@ -8,7 +8,8 @@ import pytest
 from tensorfill.datagen import SyntheticSpec, rm_mask, synthesize
 from tensorfill.errors import InputError, NumericError, UsageError
 from tensorfill.metrics import evaluate
-from tensorfill.prox import LogRule, TruncatedRule, apply_shrinkage, soft_threshold
+from tensorfill.prox import (DEFAULT_EPSILON, LogRule, TruncatedRule,
+                             apply_shrinkage, soft_threshold)
 from tensorfill.solvers import (
     BLOCK,
     METHODS,
@@ -223,7 +224,7 @@ def test_config_validation():
         SolverConfig("tnn", truncation_rate=1.5)
     for value in (np.nan, np.inf, -np.inf):
         for bad in ({"rho": value}, {"tol": value}, {"lam": value},
-                    {"epsilon": value}, {"alpha": (value, 0.5, 0.5)}):
+                    {"alpha": (value, 0.5, 0.5)}):
             with pytest.raises(UsageError):
                 SolverConfig("rtcpfnc", **bad)
     for bad in ({"max_iters": 2.5}, {"max_iters": True},
@@ -275,7 +276,7 @@ def _reference_run(y, mask, cfg):
     else:
         r = [0, 0, 0]
     if cfg.method in ("tcpfnc", "rtcpfnc"):
-        rules = [LogRule(cfg.alpha[k] / rho, cfg.epsilon) for k in range(3)]
+        rules = [LogRule(cfg.alpha[k] / rho) for k in range(3)]
     else:
         rules = [TruncatedRule(cfg.alpha[k] / rho, r[k]) for k in range(3)]
     y_obs = y * mask
@@ -312,7 +313,7 @@ def _reference_run(y, mask, cfg):
         obj = 0.0
         for k, s in enumerate(sigmas):
             if cfg.method in ("tcpfnc", "rtcpfnc"):
-                obj += cfg.alpha[k] * float(np.sum(np.log(s + cfg.epsilon)))
+                obj += cfg.alpha[k] * float(np.sum(np.log(s + DEFAULT_EPSILON)))
             elif cfg.method == "halrtc":
                 obj += cfg.alpha[k] * float(np.sum(s))
             else:

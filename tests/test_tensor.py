@@ -184,13 +184,10 @@ PARAMETERS = {
     "SolverConfig.alpha[0]": lambda v: _solve(alpha=(v, 0.5, 0.5)),
     "SolverConfig.rho": lambda v: _solve(rho=v),
     "SolverConfig.lam": lambda v: _solve(lam=v),
-    "SolverConfig.epsilon": lambda v: _solve(epsilon=v),
     "SolverConfig.tol": lambda v: _solve(tol=v),
     "SolverConfig.max_iters": lambda v: _solve(max_iters=v),
     "SolverConfig.truncation_rate": lambda v: _solve(method="tnn", truncation_rate=v),
     "LogRule.tau": lambda v: _use_rule(LogRule(v)),
-    "LogRule.epsilon": lambda v: _use_rule(LogRule(1.0, v)),
-    "LogRule.tau, subnormal epsilon": lambda v: _use_rule(LogRule(v, 5e-324)),
     "TruncatedRule.tau": lambda v: _use_rule(TruncatedRule(v)),
     "TruncatedRule.r": lambda v: _use_rule(TruncatedRule(1.0, v)),
     "SyntheticSpec.rank": lambda v: synthesize(SyntheticSpec((3, 3, 3), v)),
@@ -213,8 +210,8 @@ JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
 @pytest.mark.parametrize("parameter", sorted(PARAMETERS))
 @given(value=JSON_SCALARS)
 @example(value=-0.0)
-@example(value=0.0)  # LogRule.tau: 0 * an infinite weight is NaN
-@example(value=5e-324)  # LogRule.epsilon: 1 / epsilon overflows
+@example(value=0.0)  # LogRule.tau: a zero tau thresholds nothing
+@example(value=5e-324)  # SolverConfig.rho: alpha_k / rho overflows
 @example(value=1.7976931348623157e308)  # LogRule.tau: tau / epsilon overflows
 @settings(max_examples=60, deadline=None)
 def test_every_parameter_is_accepted_or_a_usage_error(parameter, value):
