@@ -27,6 +27,7 @@ from .solvers import (
     SolverConfig,
     SolverResult,
     SolverState,
+    WEIGHT,
     check_convergence,
     complete,
     default_lambda,

@@ -70,7 +70,7 @@ from .io import (
 )
 from .metrics import evaluate
 from .prox import DEFAULT_EPSILON
-from .solvers import METHODS, SolverConfig, complete, default_lambda
+from .solvers import METHODS, WEIGHT, SolverConfig, complete, default_lambda
 from .tensor import check_dims, check_scalar
 
 CSV_HEADER = "method,dims,pattern,rate,gamma,seed,mape,rmse,iters"
@@ -86,12 +86,15 @@ FILE_KEYS = {"role": str, "path": str, "sha256": str}
 EVAL_LABELS = {"on_observed": bool, "pattern": str, "rate": NUMBER,
                "gamma": NUMBER, "seed": int}
 EVAL_KEYS = {"truth": dict, "mask": dict, **EVAL_LABELS}
-# The config keys a manifest may record: the SolverConfig fields, and two
+# The config keys a manifest may record: the SolverConfig fields, and three
 # of older manifests.  ``threads`` sized a removed per-mode thread pool whose
-# results were bit-identical to serial, so rerun checks it and ignores it;
-# ``epsilon``, once a field, replays only at the constant DEFAULT_EPSILON.
+# results were bit-identical to serial, so rerun checks it and ignores it.
+# ``epsilon`` and ``alpha``, once fields, are now the model's constants (the
+# log rule's epsilon and the mode weights): rerun replays a manifest that
+# records one only at its value in CONSTANTS.
+CONSTANTS = {"epsilon": DEFAULT_EPSILON, "alpha": [WEIGHT] * 3}
 CONFIG_KEYS = (frozenset(f.name for f in dataclasses.fields(SolverConfig))
-               | {"threads", "epsilon"})
+               | {"threads"} | set(CONSTANTS))
 
 
 def _parse_dims(text):
@@ -100,17 +103,6 @@ def _parse_dims(text):
         return check_dims([int(p) for p in text.split(",")])
     except ValueError:
         raise UsageError(f"dims must be integers, got {text!r}")
-
-
-def _parse_alpha(text):
-    """Parse ``"a1,a2,a3"`` into a tuple of three floats."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"expected three comma-separated weights, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"weights must be numeric, got {text!r}")
 
 
 def _sha256(path):
@@ -139,22 +131,10 @@ def _verify_entry(entry):
         )
 
 
-def _fmt_float(value):
-    """Format a metric for the CSV row, stable across reruns."""
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return f"{value:.6f}"
-
-
-def format_csv_row(method, dims, pattern, rate, gamma, seed, mape, rmse, iters):
-    """Render the single report row of ``eval`` and ``rerun``."""
-    return ",".join([method, "x".join(str(d) for d in dims), pattern,
-                     f"{rate:g}", f"{gamma:g}", str(seed), _fmt_float(mape),
-                     _fmt_float(rmse), str(iters)])
-
-
 def _write_json(path, payload):
-    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    """Write ``payload`` as RFC 8259 JSON: a NaN or infinity raises."""
+    data = (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode()
     atomic_write_bytes(path, data)
 
 
@@ -193,6 +173,8 @@ def _load_manifest(path):
     if manifest["manifest_version"] != MANIFEST_VERSION:
         raise InputError(f"{where} has unsupported version")
     _require(manifest, MANIFEST_KEYS, where)
+    if manifest["method"] not in METHODS:
+        raise InputError(f"{where}: unknown method {manifest['method']!r}")
     config = manifest["config"]
     _require(config, {"method": str}, f"{where}: config")
     unknown = sorted(set(config) - CONFIG_KEYS)
@@ -217,10 +199,15 @@ def _load_manifest(path):
 
 def _check_labels(labels):
     """Raise UsageError unless rate and gamma lie in [0, 1] and seed is an
-    integer >= 0, the domains of ``mask``, ``corrupt`` and every seed."""
+    integer >= 0, the domains of ``mask``, ``corrupt`` and every seed, and
+    pattern holds no comma, double quote or line break, any of which would
+    split or break the CSV row."""
     for name in ("rate", "gamma"):
         check_scalar(name, labels[name], 0, 1)
     check_scalar("seed", labels["seed"], 0, integer=True)
+    if any(c in labels["pattern"] for c in ',"\r\n'):
+        raise UsageError(f"pattern must hold no comma, double quote or line "
+                         f"break, got {labels['pattern']!r}")
 
 
 def cmd_synth(args):
@@ -321,9 +308,8 @@ def _solve_and_write(cfg, inputs, outputs, written=(), kept=(), workdir=None):
 
 
 def cmd_complete(args):
-    cfg = SolverConfig(args.method, alpha=_parse_alpha(args.alpha), rho=args.rho,
-                       lam=args.lam, tol=args.tol, max_iters=args.max_iters,
-                       truncation_rate=args.trunc_rate)
+    cfg = SolverConfig(args.method, rho=args.rho, lam=args.lam, tol=args.tol,
+                       max_iters=args.max_iters, truncation_rate=args.trunc_rate)
     outputs = [("recovered", args.out)]
     if cfg.method == "rtcpfnc":
         root, ext = os.path.splitext(args.out)
@@ -361,12 +347,14 @@ def _score(truth_path, mask_path, recovered, method, iters, *, on_observed,
     """The one score-and-row step of ``eval`` and ``rerun``: score
     ``recovered`` against the truth on the held-out entries of the mask (the
     observed ones if ``on_observed``) and render the CSV row from the
-    labels.  Returns the report and the row."""
+    labels; an undefined MAPE renders as ``nan``.  Returns the report and
+    the row."""
     truth = read_tensor(truth_path)
     mask = read_mask(mask_path)
     report = evaluate(truth, recovered, mask if on_observed else ~mask)
-    row = format_csv_row(method, truth.shape, pattern, rate, gamma, seed,
-                         report.mape, report.rmse, iters)
+    row = ",".join([method, "x".join(map(str, truth.shape)), pattern,
+                    f"{rate:g}", f"{gamma:g}", str(seed), f"{report.mape:.6f}",
+                    f"{report.rmse:.6f}", str(iters)])
     return report, row
 
 
@@ -385,7 +373,10 @@ def cmd_eval(args):
         method, iters = manifest["method"], manifest["iterations"]
     report, row = _score(args.truth, args.mask, recovered, method, iters, **labels)
 
-    payload = dataclasses.asdict(report)
+    # JSON has no NaN or infinity: an undefined MAPE, or an RMSE that
+    # overflowed, is written as null
+    payload = {key: None if isinstance(value, float) and not math.isfinite(value)
+               else value for key, value in dataclasses.asdict(report).items()}
     if args.json_out is not None:
         _write_json(args.json_out, payload)
     if args.csv_out is not None:
@@ -399,7 +390,7 @@ def cmd_eval(args):
         }
         manifest["csv_row"] = row
         _write_json(args.manifest, manifest)
-    print(f"eval: mape={_fmt_float(report.mape)} rmse={_fmt_float(report.rmse)}")
+    print(f"eval: mape={report.mape:.6f} rmse={report.rmse:.6f}")
     print(row)
     return 0
 
@@ -425,9 +416,10 @@ def cmd_rerun(args):
     try:
         if "threads" in config:
             check_scalar("threads", config.pop("threads"), 1, integer=True)
-        epsilon = config.pop("epsilon", DEFAULT_EPSILON)
-        if epsilon != DEFAULT_EPSILON:
-            raise UsageError(f"epsilon must be {DEFAULT_EPSILON!r}, got {epsilon!r}")
+        for key, value in CONSTANTS.items():
+            recorded = config.pop(key, value)
+            if recorded != value:
+                raise UsageError(f"{key} must be {value!r}, got {recorded!r}")
         cfg = SolverConfig(**config)
     except (UsageError, TypeError, ValueError) as exc:
         raise InputError(f"manifest {args.manifest}: bad config value: {exc}")
@@ -505,9 +497,6 @@ def build_parser():
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--trunc-rate", type=float, default=SolverConfig.truncation_rate,
                    help="truncation rate for the tnn method")
-    # repr round-trips, so the default parses back to the library's weights
-    p.add_argument("--alpha", default=",".join(map(repr, SolverConfig.alpha)),
-                   help="mode weights a1,a2,a3 summing to 1")
     p.add_argument("-o", "--out", required=True, help="recovered TNS1 path")
     p.add_argument("--anomaly-out", default=None,
                    help="anomaly TNS1 path (robust method; default <out>.anomaly)")

@@ -7,13 +7,13 @@ per entry.  Values are laid out with the first index varying fastest, i.e.
 element (i1, i2, i3) lives at linear offset i1 + n1*i2 + n1*n2*i3.
 
 All writers are atomic: content goes to a temporary file in the destination
-directory, is fsynced, then renamed over the target.
+directory, is fsynced, then renamed over the target.  The file gets mode
+0o666 less the process umask, as ``open`` would give it.
 """
 
 import csv
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -33,9 +33,13 @@ def atomic_write_bytes(path, payload):
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
+    name = os.path.join(directory, f".tensorfill-{os.urandom(8).hex()}")
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tensorfill-")
+        # O_EXCL never opens an existing file, and the mode lets the kernel
+        # apply the umask, which tempfile.mkstemp's fixed 0o600 does not
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
             fh.flush()

@@ -64,7 +64,7 @@ def log_weights(sigma_prev, epsilon):
 
 @dataclass(frozen=True)
 class LogRule:
-    """Log-determinant surrogate with threshold scale ``tau`` (alpha_k / rho
+    """Log-determinant surrogate with threshold scale ``tau`` (WEIGHT / rho
     in the solvers); its positivity constant is :data:`DEFAULT_EPSILON`."""
 
     tau: float
@@ -74,13 +74,17 @@ class LogRule:
 
     def thresholds(self, sigma, sigma_prev=None):
         """tau / (base + epsilon), with base the previous iterate's spectrum
-        ``sigma_prev``, or ``sigma`` itself on a cold start."""
-        base = sigma if sigma_prev is None else np.asarray(sigma_prev)
+        ``sigma_prev``, or ``sigma`` itself on a cold start.  A spectrum is
+        >= 0: a negative or NaN base raises UsageError, since it would give
+        a negative threshold that grows a singular value."""
+        base = np.asarray(sigma if sigma_prev is None else sigma_prev)
         if len(base) != len(sigma):
             raise UsageError(
                 f"sigma_prev length {len(base)} does not match spectrum "
                 f"size {len(sigma)}"
             )
+        if not np.all(base >= 0):
+            raise UsageError("a spectrum must be >= 0, got a negative or NaN value")
         # a huge tau overflows to an infinite threshold, which zeroes its
         # value as any threshold above it would
         with np.errstate(over="ignore"):

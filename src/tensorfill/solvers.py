@@ -1,7 +1,7 @@
 """ADMM completion solvers for partially observed third-order tensors.
 
 All four methods share one scaffolding.  Per iteration, with shared penalty
-parameter rho and mode weights alpha_k:
+parameter rho and the three modes weighted equally, by :data:`WEIGHT`:
 
 1. ``L_k <- fold_k(shrink(unfold_k(M - [E_k] - T_k/rho)))`` for each mode k,
    where the shrinkage rule is what distinguishes the methods.  :data:`RULES`
@@ -17,11 +17,11 @@ parameter rho and mode weights alpha_k:
 4. ``T_k <- T_k + rho (L_k [+ E_k] - M)``.
 
 Iteration stops when the relative change of the objective drops below
-``tol``, or at ``max_iters``.  The objective is ``sum_k alpha_k *
+``tol``, or at ``max_iters``.  The objective is ``sum_k WEIGHT *
 penalty_k(sigma_k)``, with ``penalty_k`` the rule's penalty and ``sigma_k``
 the shrunk spectrum the kernel returned for mode k, plus
 ``lambda * sum_k ||E_k||_1`` for the robust solver.  The recovered output
-``L = sum_k alpha_k L_k`` is formed once, after the last iteration.
+``L = sum_k WEIGHT L_k`` is formed once, after the last iteration.
 
 The loop keeps ``L_k``, ``T_k`` and ``E_k`` as one ``(3, n1, n2, n3)``
 array each, ``M`` as a C-ordered tensor and the hidden and observed
@@ -91,7 +91,7 @@ from .tensor import (apply_constraint, check_mask, check_scalar,  # noqa: F401
                      check_tensor, fold, unfold)
 
 # The one map from a method to its shrinkage rule.  ``complete`` calls the
-# entry once per mode k with tau_k = alpha_k / rho and the truncation count
+# entry once per mode k with tau = WEIGHT / rho and the truncation count
 # r_k = round(truncation_rate * n_k), capped below the smaller side of the
 # mode-k unfolding; only tnn uses r_k.
 RULES = {
@@ -101,6 +101,10 @@ RULES = {
     "tnn": lambda tau, r: TruncatedRule(tau, r),
 }
 METHODS = tuple(RULES)
+# The weight of each mode in the objective and in the recovered tensor, as
+# in HaLRTC's weighted sum of unfolding norms; no method weights the modes
+# unequally, so it is a constant.
+WEIGHT = 1 / 3
 # Entries per block of the elementwise steps: 128 KiB per operand block, so
 # the blocks of one step stay in L2.
 BLOCK = 16384
@@ -119,12 +123,12 @@ class SolverConfig:
     ``lam`` (the sparsity weight of the robust method) defaults to None,
     meaning :func:`default_lambda` of the input dims is used at run time.
     ``truncation_rate`` only affects method ``tnn``, where the per-mode
-    exemption count is round(truncation_rate * n_k).  The log rule's
-    epsilon is no field: it is the constant :data:`prox.DEFAULT_EPSILON`.
+    exemption count is round(truncation_rate * n_k).  The model's other
+    constants are no fields: the mode weight is :data:`WEIGHT` and the log
+    rule's epsilon is :data:`prox.DEFAULT_EPSILON`.
     """
 
     method: str
-    alpha: tuple = (1 / 3, 1 / 3, 1 / 3)
     rho: float = 1e-4
     lam: float = None
     tol: float = 1e-6
@@ -134,13 +138,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise UsageError(f"unknown method {self.method!r}")
-        if np.ndim(self.alpha) != 1 or len(self.alpha) != 3:
-            raise UsageError("alpha must have exactly 3 components")
-        alpha = tuple(float(check_scalar("alpha component", a, 0))
-                      for a in self.alpha)
-        if abs(sum(alpha) - 1.0) > 1e-12:
-            raise UsageError(f"alpha must sum to 1, got {sum(alpha)!r}")
-        object.__setattr__(self, "alpha", alpha)
         for name in ("rho", "tol"):
             check_scalar(name, getattr(self, name), 0, open_low=True)
         if self.lam is not None:
@@ -164,7 +161,7 @@ class SolverState:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Completion output: ``recovered`` is L = sum_k alpha_k L_k; ``anomaly``
+    """Completion output: ``recovered`` is L = sum_k WEIGHT L_k; ``anomaly``
     is mean_k(E_k) for the robust method, None otherwise."""
 
     recovered: np.ndarray
@@ -203,15 +200,16 @@ def complete(y, mask, cfg, iter_hook=None):
     robust = cfg.method == "rtcpfnc"
     rho = cfg.rho
     lam = cfg.lam if cfg.lam is not None else default_lambda(dims)
-    # the thresholds alpha_k / rho and, robust only, lam / rho must be finite
-    for name, weight in (("alpha_k", max(cfg.alpha)),
+    # the thresholds WEIGHT / rho and, robust only, lam / rho must be finite;
+    # the message names the weight alpha_k, as HaLRTC writes it
+    for name, weight in (("alpha_k", WEIGHT),
                          ("lambda", lam if robust else 0.0)):
         if not math.isfinite(weight / float(rho)):
             raise UsageError(f"rho={rho!r} is too small: {name} / rho is not finite")
     rules = [
-        RULES[cfg.method](cfg.alpha[k] / rho,
+        RULES[cfg.method](WEIGHT / rho,
                           min(round(cfg.truncation_rate * n), min(n, y.size // n) - 1))
-        for k, n in enumerate(dims)
+        for n in dims
     ]
 
     size = y.size
@@ -306,7 +304,7 @@ def complete(y, mask, cfg, iter_hook=None):
 
             obj = 0.0
             for k in range(3):
-                obj += cfg.alpha[k] * rules[k].penalty(sigmas[k])
+                obj += WEIGHT * rules[k].penalty(sigmas[k])
             if robust:
                 obj += lam * sum(
                     float(np.sum(np.abs(e, out=z))) for e in ek
@@ -335,11 +333,11 @@ def complete(y, mask, cfg, iter_hook=None):
                 converged = True
                 break
 
-    # (alpha_0 L_0 + alpha_1 L_1) + alpha_2 L_2 and (E_0 + E_1 + E_2) / 3,
+    # (W L_0 + W L_1) + W L_2 with W = WEIGHT, and (E_0 + E_1 + E_2) / 3,
     # formed in the free workspace buffers, with T_0 as scratch
-    recovered = np.multiply(lk[0], cfg.alpha[0], out=a.reshape(dims))
+    recovered = np.multiply(lk[0], WEIGHT, out=a.reshape(dims))
     for k in (1, 2):
-        recovered += np.multiply(lk[k], cfg.alpha[k], out=tk[0])
+        recovered += np.multiply(lk[k], WEIGHT, out=tk[0])
     anomaly = None
     if robust:
         anomaly = np.add(ek[0], ek[1], out=z)
@@ -360,6 +358,7 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "SolverResult",
+    "WEIGHT",
     "check_convergence",
     "complete",
     "default_lambda",

@@ -159,7 +159,8 @@ def test_complete_writes_manifest_schema(tmp_path):
     # the flags default to the library's values, so the bits match the API
     api = complete(read_tensor(y), read_mask(m),
                    SolverConfig("tcpfnc", rho=1e-3, max_iters=10))
-    assert tuple(manifest["config"]["alpha"]) == SolverConfig("tcpfnc").alpha
+    # the mode weights and epsilon are constants, not config
+    assert not {"alpha", "epsilon"} & set(manifest["config"])
     np.testing.assert_array_equal(read_tensor(rec), api.recovered)
 
 
@@ -203,6 +204,18 @@ def test_complete_threads_flag_is_usage_error(tmp_path, capsys):
     assert "--threads" in err and "Traceback" not in err
 
 
+def test_complete_alpha_flag_is_usage_error(tmp_path, capsys):
+    """The mode weights are the constant WEIGHT, so there is no --alpha."""
+    y, m = _pipeline_files(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run("complete", "--tensor", y, "--mask", m, "--method", "tcpfnc",
+            "--max-iters", "5", "--alpha", "0.5,0.3,0.2", "-o", tmp_path / "r.tns",
+            "--manifest", tmp_path / "man.json")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--alpha" in err and "Traceback" not in err
+
+
 def test_eval_worked_fixture(tmp_path, capsys):
     truth, rec, m = tmp_path / "t.tns", tmp_path / "r.tns", tmp_path / "m.msk"
     write_tensor(truth, np.array([100.0, 50.0]).reshape(2, 1, 1))
@@ -239,11 +252,15 @@ def test_eval_missing_file_is_input_error(tmp_path):
 
 @pytest.mark.parametrize("flags", [("--rate", "inf"), ("--rate", "1.5"),
                                    ("--gamma", "nan"), ("--gamma", "-0.1"),
-                                   ("--seed", "-3")])
+                                   ("--seed", "-3"), ("--pattern", "rm,x"),
+                                   ("--pattern", 'r"m'), ("--pattern", "rm\n"),
+                                   ("--pattern", "r\rm")])
 def test_eval_label_outside_its_domain_is_usage_error(tmp_path, capsys, flags):
-    """The row labels --rate and --gamma lie in [0, 1] and --seed is an
+    """The row labels --rate and --gamma lie in [0, 1], --seed is an
     integer >= 0, the domains of mask --rate, corrupt --gamma and every
-    other --seed; eval writes nothing otherwise."""
+    other --seed, and --pattern holds no comma, double quote or line break,
+    which would add a field to the CSV row or break it; eval writes nothing
+    otherwise."""
     y, m = _pipeline_files(tmp_path)
     before = _files(tmp_path)
     assert run("eval", "--truth", y, "--recovered", y, "--mask", m, *flags,
@@ -295,6 +312,26 @@ def test_eval_annotates_manifest(tmp_path):
     manifest = json.loads(man.read_text())
     assert manifest["csv_row"].startswith("rtcpfnc,8x7x6,rm,0.3,0.1,1,")
     assert manifest["eval"]["report"]["n_evaluated"] > 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_eval_undefined_mape_is_json_null(tmp_path):
+    """On an all-zero truth the MAPE is undefined: the report and the
+    manifest's eval record hold null, which is JSON, and the row holds nan."""
+    man = _recorded_run(tmp_path)
+    zero, m = tmp_path / "zero.tns", tmp_path / "m.msk"
+    write_tensor(zero, np.zeros((8, 7, 6)))
+    rep, row = tmp_path / "rep.json", tmp_path / "row.csv"
+    assert run("eval", "--truth", zero, "--recovered", tmp_path / "rec.tns",
+               "--mask", m, "--on-observed", "--manifest", man,
+               "--json-out", rep, "--csv-out", row) == 0
+    report = json.loads(rep.read_text(), parse_constant=_reject_constant)
+    manifest = json.loads(man.read_text(), parse_constant=_reject_constant)
+    assert report["mape"] is None and manifest["eval"]["report"] == report
+    assert row.read_text().split("\n")[1].split(",")[6] == "nan"
 
 
 def test_rerun_reproduces_identical_row(tmp_path, capsys):
@@ -385,13 +422,15 @@ def test_rerun_manifest_without_inputs_is_input_error(tmp_path, capsys):
 def test_rerun_mistyped_config_value_is_input_error(tmp_path, capsys):
     """A recorded config value of the wrong type or out of range is input."""
     for key, value in (("rho", "fast"), ("max_iters", 2.5), ("threads", True),
-                       ("rho", -1), ("epsilon", 2e-6)):
+                       ("rho", -1), ("epsilon", 2e-6), ("alpha", [0.5, 0.3, 0.2]),
+                       ("alpha", 1 / 3)):
         def edit(manifest):
             manifest["config"][key] = value
 
         assert _rerun_edited(tmp_path, edit) == 3
         err = capsys.readouterr().err
         assert "bad config value" in err and "Traceback" not in err
+        assert key in err and not (tmp_path / "replay").exists()
 
 
 def test_rerun_replays_a_manifest_recording_threads(tmp_path, capsys):
@@ -416,9 +455,9 @@ def test_rerun_replays_a_manifest_recording_epsilon(tmp_path, capsys):
 
 
 def test_mistyped_manifest_value_is_input_error(tmp_path, capsys):
-    """A JSON true or false where a number is required, and an eval label
-    outside the domain of its flag, exit 3 in rerun and in eval --manifest,
-    before anything is written."""
+    """A JSON true or false where a number is required, a method that is
+    none of METHODS, and an eval label outside the domain of its flag, exit
+    3 in rerun and in eval --manifest, before anything is written."""
     y, m = tmp_path / "y.tns", tmp_path / "m.msk"
     for record, key, value in ((None, "manifest_version", True),
                                (None, "iterations", True),
@@ -426,7 +465,9 @@ def test_mistyped_manifest_value_is_input_error(tmp_path, capsys):
                                ("eval", "rate", float("inf")),
                                ("eval", "rate", 1.5),
                                ("eval", "gamma", float("nan")),
-                               ("eval", "seed", -3)):
+                               ("eval", "seed", -3),
+                               (None, "method", "tcpfnc,x"),
+                               ("eval", "pattern", "rm,x")):
         def edit(manifest):
             (manifest[record] if record else manifest)[key] = value
 
@@ -446,7 +487,7 @@ def test_mistyped_manifest_value_is_input_error(tmp_path, capsys):
     ("--tol", "nan"),
     ("--rho", "nan"),
     ("--rho", "inf"),
-    ("--alpha", "nan,0.5,0.5"),
+    ("--trunc-rate", "nan"),
     ("--lambda", "nan"),
 ])
 def test_complete_non_finite_parameter_is_usage_error(tmp_path, flags):

@@ -2,7 +2,11 @@
 
 import os
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,30 @@ def test_failed_write_leaves_target_and_directory_clean(tmp_path):
         write_tensor(path, bad)
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["t.tns"]
+
+
+WRITE_UNDER_UMASK = """
+    import os
+    import numpy as np
+    from tensorfill.cli import _write_json
+    from tensorfill.io import write_mask, write_tensor
+
+    os.umask(0o027)
+    write_tensor("t.tns", np.ones((2, 2, 2)))
+    write_mask("m.msk", np.ones((2, 2, 2), dtype=bool))
+    _write_json("r.json", {"mape": None})
+"""
+
+
+def test_written_files_take_their_mode_from_the_umask(tmp_path):
+    """TNS1, MSK1 and JSON files get mode 0o666 less the umask, as a plain
+    open() would give them, and no temp file is left behind."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", textwrap.dedent(WRITE_UNDER_UMASK)],
+                   cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                   check=True, timeout=120)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"t.tns": 0o640, "m.msk": 0o640, "r.json": 0o640}
 
 
 def test_ingest_matches_mode0_unfolding(tmp_path):

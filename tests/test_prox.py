@@ -306,6 +306,14 @@ def test_apply_shrinkage_never_divides_by_zero_singular_values():
     np.testing.assert_array_equal(shrunk, 0.0)
 
 
+@pytest.mark.parametrize("sigma_prev", [[-0.5, 2.0, 1.0], [np.nan, 2.0, 1.0]])
+def test_log_rule_rejects_a_negative_or_nan_prior_spectrum(sigma_prev):
+    """A negative prior value would give a negative threshold, which grows
+    a singular value (3 to 5 here); a spectrum is never negative."""
+    with pytest.raises(UsageError, match="spectrum must be >= 0"):
+        apply_shrinkage(np.diag([3.0, 2.0, 1.0]), LogRule(1.0), sigma_prev)
+
+
 def test_zero_tau_log_rule_thresholds_nothing():
     """A zero tau gives zero thresholds, so the kernel keeps the spectrum."""
     rule = LogRule(0.0)

@@ -13,6 +13,7 @@ from tensorfill.prox import (DEFAULT_EPSILON, LogRule, TruncatedRule,
 from tensorfill.solvers import (
     BLOCK,
     METHODS,
+    WEIGHT,
     SolverConfig,
     check_convergence,
     complete,
@@ -140,13 +141,14 @@ def test_anomaly_entries_minimize_scalar_objective():
 
 
 def test_recovered_is_alpha_weighted_aggregate():
+    """The recovered tensor is the equal-weight aggregate of the last mode
+    estimates, summed in mode order."""
     y, mask = _instance(9)
-    alpha = (0.5, 0.3, 0.2)
-    cfg = SolverConfig("tcpfnc", alpha=alpha, rho=1e-3)
+    cfg = SolverConfig("tcpfnc", rho=1e-3)
     result, states = _collect(y, mask, cfg, 7)
-    last = states[-1]
-    expected = sum(a * l for a, l in zip(alpha, last.lk))
-    np.testing.assert_array_equal(result.recovered, expected)
+    lk = states[-1].lk
+    expected = (WEIGHT * lk[0] + WEIGHT * lk[1]) + WEIGHT * lk[2]
+    assert result.recovered.tobytes() == expected.tobytes()
 
 
 def test_anomaly_output_is_mean_of_mode_estimates():
@@ -211,8 +213,6 @@ def test_config_validation():
     with pytest.raises(UsageError):
         SolverConfig("nosuch")
     with pytest.raises(UsageError):
-        SolverConfig("tcpfnc", alpha=(0.5, 0.5, 0.5))
-    with pytest.raises(UsageError):
         SolverConfig("tcpfnc", rho=0.0)
     with pytest.raises(UsageError):
         SolverConfig("tcpfnc", tol=-1.0)
@@ -223,19 +223,17 @@ def test_config_validation():
     with pytest.raises(UsageError):
         SolverConfig("tnn", truncation_rate=1.5)
     for value in (np.nan, np.inf, -np.inf):
-        for bad in ({"rho": value}, {"tol": value}, {"lam": value},
-                    {"alpha": (value, 0.5, 0.5)}):
+        for bad in ({"rho": value}, {"tol": value}, {"lam": value}):
             with pytest.raises(UsageError):
                 SolverConfig("rtcpfnc", **bad)
     for bad in ({"max_iters": 2.5}, {"max_iters": True},
-                {"truncation_rate": 1.0}, {"rho": "fast"},
-                {"alpha": (True, False, False)}, {"alpha": 1.0}):
+                {"truncation_rate": 1.0}, {"rho": "fast"}):
         with pytest.raises(UsageError):
             SolverConfig("tnn", **bad)
 
 
 def test_rho_too_small_for_a_finite_threshold_is_named():
-    """alpha_k / rho or lam / rho overflowing is reported in terms of rho."""
+    """WEIGHT / rho or lam / rho overflowing is reported in terms of rho."""
     y, mask = _instance(3)
     with pytest.raises(UsageError, match=r"rho=1e-310 is too small: alpha_k / rho"):
         complete(y, mask, SolverConfig("tcpfnc", rho=1e-310))
@@ -276,9 +274,9 @@ def _reference_run(y, mask, cfg):
     else:
         r = [0, 0, 0]
     if cfg.method in ("tcpfnc", "rtcpfnc"):
-        rules = [LogRule(cfg.alpha[k] / rho) for k in range(3)]
+        rules = [LogRule(WEIGHT / rho) for _ in range(3)]
     else:
-        rules = [TruncatedRule(cfg.alpha[k] / rho, r[k]) for k in range(3)]
+        rules = [TruncatedRule(WEIGHT / rho, r[k]) for k in range(3)]
     y_obs = y * mask
     m = y_obs.copy()
     lk = [np.zeros(dims) for _ in range(3)]
@@ -297,7 +295,7 @@ def _reference_run(y, mask, cfg):
             lk[k] = fold(mat, k, dims)
             sigmas.append(sig)
         sigma_prev = sigmas
-        recovered = cfg.alpha[0] * lk[0] + cfg.alpha[1] * lk[1] + cfg.alpha[2] * lk[2]
+        recovered = WEIGHT * lk[0] + WEIGHT * lk[1] + WEIGHT * lk[2]
         m_pre = (lk[0] + lk[1] + lk[2]) / 3.0
         if robust:
             m_pre = m_pre + (ek[0] + ek[1] + ek[2]) / 3.0
@@ -313,11 +311,11 @@ def _reference_run(y, mask, cfg):
         obj = 0.0
         for k, s in enumerate(sigmas):
             if cfg.method in ("tcpfnc", "rtcpfnc"):
-                obj += cfg.alpha[k] * float(np.sum(np.log(s + DEFAULT_EPSILON)))
+                obj += WEIGHT * float(np.sum(np.log(s + DEFAULT_EPSILON)))
             elif cfg.method == "halrtc":
-                obj += cfg.alpha[k] * float(np.sum(s))
+                obj += WEIGHT * float(np.sum(s))
             else:
-                obj += cfg.alpha[k] * float(np.sum(s[r[k]:]))
+                obj += WEIGHT * float(np.sum(s[r[k]:]))
         if robust:
             obj += lam * sum(float(np.sum(np.abs(e))) for e in ek)
         history.append(obj)

@@ -180,8 +180,6 @@ def _use_rule(rule):
 
 PARAMETERS = {
     "SolverConfig.method": lambda v: _solve(method=v),
-    "SolverConfig.alpha": lambda v: _solve(alpha=v),
-    "SolverConfig.alpha[0]": lambda v: _solve(alpha=(v, 0.5, 0.5)),
     "SolverConfig.rho": lambda v: _solve(rho=v),
     "SolverConfig.lam": lambda v: _solve(lam=v),
     "SolverConfig.tol": lambda v: _solve(tol=v),
@@ -211,7 +209,7 @@ JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
 @given(value=JSON_SCALARS)
 @example(value=-0.0)
 @example(value=0.0)  # LogRule.tau: a zero tau thresholds nothing
-@example(value=5e-324)  # SolverConfig.rho: alpha_k / rho overflows
+@example(value=5e-324)  # SolverConfig.rho: WEIGHT / rho overflows
 @example(value=1.7976931348623157e308)  # LogRule.tau: tau / epsilon overflows
 @settings(max_examples=60, deadline=None)
 def test_every_parameter_is_accepted_or_a_usage_error(parameter, value):
