@@ -14,7 +14,6 @@ from .metrics import EvalReport, anomaly_score, evaluate
 from .prox import (
     DEFAULT_EPSILON,
     LogRule,
-    SvdFactors,
     TruncatedRule,
     apply_shrinkage,
     log_weights,

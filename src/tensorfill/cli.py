@@ -22,17 +22,17 @@ rerun
 
 Outputs never overwrite inputs: ``complete`` exits 2, before it reads or
 writes anything, when ``-o``, the anomaly path or ``--manifest`` names the
-same file as another of them or as ``--tensor`` or ``--mask``, and exits
-3 (``cannot write``) when the directory of one of them does not exist.
-``eval`` exits 2 in the same way when ``--json-out``, ``--csv-out`` or the
+same file as another of them or as ``--tensor`` or ``--mask``.  ``eval``
+exits 2 in the same way when ``--json-out``, ``--csv-out`` or the
 ``--manifest`` it rewrites names the same file as another of them or as
 ``--truth``, ``--mask`` or ``--recovered``, and ``corrupt`` and ``ingest``
 when one of their two outputs names the other or one of their inputs.
-``rerun`` verifies every
-recorded hash (the inputs and the eval truth and mask) before it writes
-anything, and exits 2 with every file untouched, and ``--workdir`` not yet
-created, when a replayed output under ``--workdir`` would land on the
-manifest, on a file it records, or on another replayed output.
+``rerun`` verifies every recorded hash (the inputs and the eval truth and
+mask), then exits 2 with every file untouched, and ``--workdir`` not yet
+created, when a replayed output would land on the manifest, on a file it
+records, or on another replayed output.  Next, before reading an input
+tensor, mask or CSV, each of these exits 3 (``cannot write <path>``) when
+an output path is a directory or its directory does not exist.
 
 Exit codes: 0 success, 2 usage error, 3 input/format error, 4 numeric
 error.  A failed rerun comparison exits 1.
@@ -255,23 +255,31 @@ def cmd_corrupt(args):
     return 0
 
 
-def _check_targets(written, kept):
-    """Raise UsageError if a (label, path) pair of ``written`` names the
-    same file as another one or as a pair of ``kept``."""
+def _check_targets(written, kept, workdir=None):
+    """Check the (label, path) pairs of ``written`` before any input is read.
+
+    Raises UsageError if one names the same file as another one or as a
+    pair of ``kept``.  Then creates ``workdir``, if given, and raises
+    InputError, with the message of a failed write, if a path of
+    ``written`` is a directory or lies in a directory that does not exist.
+    """
     claimed = {os.path.realpath(path): label for label, path in kept}
     for label, path in written:
         real = os.path.realpath(path)
         if real in claimed:
             raise UsageError(f"{label} would overwrite {claimed[real]} ({path})")
         claimed[real] = label
-
-
-def _check_directory(path):
-    """Raise InputError, with the message of a failed write, if the
-    directory ``path`` would be written into does not exist."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        raise InputError(f"cannot write {path}: no directory {directory}")
+    if workdir is not None:
+        try:
+            os.makedirs(workdir, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create {workdir}: {exc}")
+    for _, path in written:
+        if os.path.isdir(path):
+            raise InputError(f"cannot write {path}: it is a directory")
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise InputError(f"cannot write {path}: no directory {directory}")
 
 
 def _solve_and_write(cfg, inputs, outputs, written=(), kept=(), workdir=None):
@@ -280,21 +288,13 @@ def _solve_and_write(cfg, inputs, outputs, written=(), kept=(), workdir=None):
     Reads the tensor and mask at the paths ``inputs`` maps those roles to,
     runs :func:`complete`, and writes each (role, path) pair of ``outputs``
     (recovered, anomaly).  Before anything is read, exits through
-    :func:`_check_targets` if an output would land on an input, on a
-    (label, path) pair of ``kept``, on another output or on a pair of
-    ``written`` (files the caller writes); then creates ``workdir``, if
-    given, and raises InputError if the directory of an output or of a
-    ``written`` path does not exist.  Returns the result, the output file
-    records and the solve's wall-clock seconds.
+    :func:`_check_targets` (which creates ``workdir``, if given) if an
+    output would land on an input, on a (label, path) pair of ``kept``, on
+    another output or on a pair of ``written`` (files the caller writes),
+    or cannot be written.  Returns the result, the output file records and
+    the solve's wall-clock seconds.
     """
-    _check_targets([*outputs, *written], [*inputs.items(), *kept])
-    if workdir is not None:
-        try:
-            os.makedirs(workdir, exist_ok=True)
-        except OSError as exc:
-            raise InputError(f"cannot create {workdir}: {exc}")
-    for _, path in [*outputs, *written]:
-        _check_directory(path)
+    _check_targets([*outputs, *written], [*inputs.items(), *kept], workdir)
     tensor = read_tensor(inputs["tensor"])
     mask = read_mask(inputs["mask"])
     start = time.perf_counter()
@@ -362,10 +362,10 @@ def cmd_eval(args):
     written = [(label, path) for label, path in (
         ("json report", args.json_out), ("csv report", args.csv_out),
         ("manifest", args.manifest)) if path is not None]
-    _check_targets(written, [("truth", args.truth), ("mask", args.mask),
-                             ("recovered", args.recovered)])
     labels = {key: getattr(args, key) for key in EVAL_LABELS}
     _check_labels(labels)
+    _check_targets(written, [("truth", args.truth), ("mask", args.mask),
+                             ("recovered", args.recovered)])
     recovered = read_tensor(args.recovered)
     method, iters, manifest = "-", 0, None
     if args.manifest is not None:
@@ -396,9 +396,9 @@ def cmd_eval(args):
 
 
 def cmd_ingest(args):
+    dims = _parse_dims(args.dims)
     _check_targets([("output", args.out), ("mask output", args.mask_out)],
                    [("csv", args.csv)])
-    dims = _parse_dims(args.dims)
     tensor, mask = ingest_csv(args.csv, dims)
     write_tensor(args.out, tensor)
     write_mask(args.mask_out, mask)

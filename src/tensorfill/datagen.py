@@ -70,8 +70,7 @@ def rm_mask(dims, missing_rate, seed):
     n = n1 * n2 * n3
     k = _count(missing_rate, n)
     flat = np.ones(n, dtype=bool)
-    if k:
-        flat[_rng(seed).choice(n, size=k, replace=False)] = False
+    flat[_rng(seed).choice(n, size=k, replace=False)] = False
     return flat.reshape(dims, order="F")
 
 
@@ -87,10 +86,9 @@ def nm_mask(dims, missing_rate, seed):
     check_scalar("seed", seed, 0, integer=True)
     fibers = n1 * n3
     k = _count(missing_rate, fibers)
+    p = _rng(seed).choice(fibers, size=k, replace=False)
     mask = np.ones(dims, dtype=bool)
-    if k:
-        for p in _rng(seed).choice(fibers, size=k, replace=False):
-            mask[p % n1, :, p // n1] = False
+    mask[p % n1, :, p // n1] = False
     return mask
 
 
@@ -107,15 +105,9 @@ def corrupt(y, mask, spec):
     rng = _rng(spec.seed)
     observed = np.flatnonzero(mask.ravel(order="F"))
     k = _count(spec.gamma, observed.size)
-    hit = (
-        observed[rng.choice(observed.size, size=k, replace=False)]
-        if k
-        else np.empty(0, dtype=np.int64)
-    )
+    hit = observed[rng.choice(observed.size, size=k, replace=False)]
     flat = (y * mask).ravel(order="F")
-    if k:
-        noise = rng.uniform(-spec.s, spec.s, size=k)
-        flat[hit] = np.maximum(flat[hit] + noise, 0.0)
+    flat[hit] = np.maximum(flat[hit] + rng.uniform(-spec.s, spec.s, size=k), 0.0)
     omega_c = np.zeros(flat.size, dtype=bool)
     omega_c[hit] = True
     omega_c = omega_c.reshape(y.shape, order="F")

@@ -4,7 +4,9 @@ Both binary formats share a 28-byte header: a 4-byte magic string followed by
 three unsigned 64-bit little-endian dimensions (n1, n2, n3).  TNS1 stores
 n1*n2*n3 IEEE-754 float64 little-endian values; MSK1 stores one byte (0 or 1)
 per entry.  Values are laid out with the first index varying fastest, i.e.
-element (i1, i2, i3) lives at linear offset i1 + n1*i2 + n1*n2*i3.
+element (i1, i2, i3) lives at linear offset i1 + n1*i2 + n1*n2*i3.  One
+reader and one writer serve both formats; a read raises InputError on a bad
+header or body length, and on any entry the tensor or mask checks reject.
 
 All writers are atomic: content goes to a temporary file in the destination
 directory, is fsynced, then renamed over the target.  The file gets mode
@@ -52,65 +54,57 @@ def atomic_write_bytes(path, payload):
             os.unlink(tmp)
 
 
-def _read_header(raw, magic, path):
+def _read(path, magic, dtype, label):
+    """Return the body of the ``magic`` file at ``path`` as a read-only,
+    Fortran-ordered ``dtype`` view of its bytes, after checking the header
+    and that the body holds one ``label`` item per entry."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if len(raw) < _HEADER.size:
         raise InputError(f"{path}: truncated header ({len(raw)} bytes)")
     got, n1, n2, n3 = _HEADER.unpack_from(raw)
     if got != magic:
-        raise InputError(
-            f"{path}: bad magic {got!r}, expected {magic.decode()}"
-        )
+        raise InputError(f"{path}: bad magic {got!r}, expected {magic.decode()}")
     if min(n1, n2, n3) == 0:
         raise InputError(f"{path}: zero dimension in header ({n1},{n2},{n3})")
-    return (n1, n2, n3)
+    count = n1 * n2 * n3
+    size = np.dtype(dtype).itemsize * count
+    found = len(raw) - _HEADER.size
+    if found != size:
+        raise InputError(f"{path}: expected {size} {label} bytes, found {found}")
+    return np.frombuffer(raw, dtype, count, _HEADER.size).reshape(
+        (n1, n2, n3), order="F")
 
 
-def _read_file(path):
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+def _write(path, magic, arr):
+    """Write the checked tensor or mask ``arr`` after a ``magic`` header."""
+    atomic_write_bytes(path, _HEADER.pack(magic, *arr.shape) + arr.tobytes(order="F"))
 
 
 def write_tensor(path, x):
     """Serialize a third-order tensor to a TNS1 file."""
-    x = check_tensor(x)
-    header = _HEADER.pack(TENSOR_MAGIC, *x.shape)
-    atomic_write_bytes(path, header + x.astype("<f8").tobytes(order="F"))
+    _write(path, TENSOR_MAGIC, check_tensor(x).astype("<f8"))
 
 
 def read_tensor(path):
     """Read a TNS1 file back into a float64 array of shape (n1, n2, n3)."""
-    raw = _read_file(path)
-    dims = _read_header(raw, TENSOR_MAGIC, path)
-    count = dims[0] * dims[1] * dims[2]
-    found = len(raw) - _HEADER.size
-    if found != 8 * count:
-        raise InputError(f"{path}: expected {8 * count} value bytes, found {found}")
     # one owning, writable copy of the body, read in place from the file bytes
-    values = np.frombuffer(raw, "<f8", count, _HEADER.size).astype(np.float64)
-    return check_tensor(values.reshape(dims, order="F"), f"{path}: tensor")
+    values = _read(path, TENSOR_MAGIC, "<f8", "value").astype(np.float64)
+    return check_tensor(values, f"{path}: tensor")
 
 
 def write_mask(path, mask):
     """Serialize a mask to an MSK1 file: a bool's bytes are the 0s and 1s."""
-    mask = check_mask(mask)
-    header = _HEADER.pack(MASK_MAGIC, *mask.shape)
-    atomic_write_bytes(path, header + mask.tobytes(order="F"))
+    _write(path, MASK_MAGIC, check_mask(mask))
 
 
 def read_mask(path):
     """Read an MSK1 file back into a bool array, True where observed."""
-    raw = _read_file(path)
-    dims = _read_header(raw, MASK_MAGIC, path)
-    count = dims[0] * dims[1] * dims[2]
-    found = len(raw) - _HEADER.size
-    if found != count:
-        raise InputError(f"{path}: expected {count} mask bytes, found {found}")
-    # a view of the file bytes; check_mask makes the one bool copy
-    flags = np.frombuffer(raw, np.uint8, count, _HEADER.size)
-    return check_mask(flags.reshape(dims, order="F"), name=f"{path}: mask")
+    # check_mask makes the one bool copy of the file bytes
+    return check_mask(_read(path, MASK_MAGIC, np.uint8, "mask"), name=f"{path}: mask")
 
 
 def ingest_csv(path, dims):
@@ -118,16 +112,17 @@ def ingest_csv(path, dims):
 
     Column j (0-based) of row i1 maps to entry (i1, j % n2, j // n2), so the
     mode-0 unfolding of the result equals the CSV grid.  Blank cells become
-    unobserved: mask False and value 0.  Raises UsageError unless ``dims``
-    passes :func:`tensor.check_dims`, and InputError on a file that is not
-    UTF-8 CSV, on a row count or row width that does not match ``dims``
-    (both checked before the tensor is allocated), and on non-numeric
-    cells, reporting the 1-based row and column.
+    unobserved: mask False and value 0.  A leading UTF-8 byte-order mark,
+    as spreadsheet exports often write, is skipped.  Raises UsageError
+    unless ``dims`` passes :func:`tensor.check_dims`, and InputError on a
+    file that is not UTF-8 CSV, on a row count or row width that does not
+    match ``dims`` (both checked before the tensor is allocated), and on
+    non-numeric cells, reporting the 1-based row and column.
     """
     n1, n2, n3 = check_dims(dims)
     ncols = n2 * n3
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [r for r in csv.reader(fh) if r]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

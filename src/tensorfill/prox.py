@@ -19,8 +19,9 @@ spectrum.  There are two rules:
 rule.  Every rule goes through one spectral kernel, :func:`apply_shrinkage`,
 which takes the eigendecomposition of the Gram matrix of the input's
 smaller side instead of a full SVD.  An elementwise soft threshold (the l1
-prox) rounds out the module.  The exact thin SVD, :func:`svd`, is the
-reference the kernel is tested against.
+prox) rounds out the module.  The exact thin SVD, :func:`svd`, returns
+the plain triple (u, sigma, vt) and is the reference the kernel is tested
+against.
 """
 
 from dataclasses import dataclass
@@ -33,17 +34,9 @@ from .tensor import check_scalar
 DEFAULT_EPSILON = 1e-6
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD of a matrix: u @ diag(sigma) @ vt, sigma descending."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    vt: np.ndarray
-
-
 def svd(m):
-    """Thin SVD with finiteness checking.
+    """Thin SVD with finiteness checking: the triple (u, sigma, vt) with
+    m = u @ diag(sigma) @ vt and sigma descending.
 
     Raises NumericError on non-finite input or LAPACK non-convergence.
     """
@@ -51,10 +44,9 @@ def svd(m):
     if not np.all(np.isfinite(arr)):
         raise NumericError("SVD input contains non-finite values")
     try:
-        u, s, vt = np.linalg.svd(arr, full_matrices=False)
+        return tuple(np.linalg.svd(arr, full_matrices=False))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
-    return SvdFactors(u=u, sigma=s, vt=vt)
 
 
 def log_weights(sigma_prev, epsilon):
@@ -122,11 +114,6 @@ class TruncatedRule:
     def penalty(self, sigma):
         """sum_{i >= r} sigma_i."""
         return float(np.sum(sigma[self.r:]))
-
-
-def shrinkage_thresholds(rule, sigma, sigma_prev=None):
-    """Per-singular-value threshold vector of ``rule`` at spectrum ``sigma``."""
-    return rule.thresholds(sigma, sigma_prev)
 
 
 def apply_shrinkage(z, rule, sigma_prev=None, work=None):

@@ -662,6 +662,78 @@ def test_complete_into_missing_directory_fails_before_solving(
     assert not (tmp_path / "nodir").exists()
 
 
+def _no_input_is_read(monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("an input was read although an output cannot be written")
+
+    for name in ("read_tensor", "read_mask", "ingest_csv"):
+        monkeypatch.setattr(cli, name, not_reached)
+
+
+# Output paths that cannot be written: "dir" is an existing directory and
+# "nodir" does not exist.  The inputs are y.tns, m.msk and d.csv, and c.tns,
+# a copy of y.tns, is eval's recovered tensor.
+UNWRITABLE_OPTIONS = {**GENERATOR_OPTIONS, "complete": ("--method", "rtcpfnc"),
+                      "eval": ()}
+UNWRITABLE_INPUTS = {
+    **GENERATOR_INPUTS,
+    "complete": {"--tensor": "y.tns", "--mask": "m.msk", "-o": "ok.tns",
+                 "--manifest": "man.json"},
+    "eval": {"--truth": "y.tns", "--recovered": "c.tns", "--mask": "m.msk"},
+}
+UNWRITABLE = [
+    ("complete", {"-o": "dir"}),
+    ("complete", {"--anomaly-out": "dir"}),
+    ("complete", {"--manifest": "dir"}),
+    ("eval", {"--json-out": "dir"}),
+    ("eval", {"--json-out": "ok.json", "--csv-out": "dir"}),
+    ("eval", {"--json-out": "ok.json", "--csv-out": "nodir/x.csv"}),
+    ("corrupt", {"-o": "dir", "--omega-out": "oc.msk"}),
+    ("corrupt", {"-o": "ok.tns", "--omega-out": "dir"}),
+    ("corrupt", {"-o": "ok.tns", "--omega-out": "nodir/oc.msk"}),
+    ("ingest", {"-o": "dir", "--mask-out": "x.msk"}),
+    ("ingest", {"-o": "x.tns", "--mask-out": "nodir/x.msk"}),
+]
+
+
+@pytest.mark.parametrize("command, flags", UNWRITABLE, ids=lambda v: ",".join(
+    f"{flag.lstrip('-')}={name}" for flag, name in v.items())
+    if isinstance(v, dict) else None)
+def test_unwritable_output_fails_before_reading(tmp_path, capsys, monkeypatch,
+                                                command, flags):
+    """An output path that is a directory, or whose directory does not
+    exist, exits 3 before any input is read, and no file is written."""
+    y, _ = _pipeline_files(tmp_path)
+    shutil.copy(y, tmp_path / "c.tns")
+    (tmp_path / "d.csv").write_text("1,2,,4\n5,6,7,8\n")
+    (tmp_path / "dir").mkdir()
+    before = _files(tmp_path)
+    _no_input_is_read(monkeypatch)
+    paths = {**UNWRITABLE_INPUTS[command], **flags}
+    argv = [a for flag, name in paths.items() for a in (flag, tmp_path / name)]
+    assert run(command, *UNWRITABLE_OPTIONS[command], *argv) == 3
+    bad = next(name for name in flags.values() if "dir" in name)
+    assert f"cannot write {tmp_path / bad}" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+    assert not any((tmp_path / "dir").iterdir())
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_rerun_onto_a_directory_fails_before_reading(tmp_path, capsys,
+                                                     monkeypatch):
+    """A directory in --workdir that bears a replayed output's name exits 3
+    before the inputs are read."""
+    man = _recorded_run(tmp_path)
+    blocker = tmp_path / "w" / "rec.tns"
+    blocker.mkdir(parents=True)
+    before = _files(tmp_path)
+    _no_input_is_read(monkeypatch)
+    assert run("rerun", "--manifest", man, "--workdir", tmp_path / "w") == 3
+    assert f"cannot write {blocker}" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+    assert not any(blocker.iterdir())
+
+
 def test_rerun_into_truth_directory_leaves_truth_untouched(tmp_path, capsys):
     """The recovered tensor shares the truth's file name, so a replay into
     the truth's directory would overwrite it: rerun exits 2 instead."""

@@ -1,5 +1,7 @@
 """Data generation tests: masks, corruption, synthetic tensors."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,3 +193,45 @@ def test_synthetic_spec_validation():
     for bad in ({"s": np.nan}, {"s": np.inf}, {"s": 1e308}, {"seed": 1.5}):
         with pytest.raises(UsageError):
             CorruptionSpec(**{"gamma": 0.5, "s": 1.0, "seed": 0, **bad})
+
+
+# The generator streams, pinned: the first 16 hex digits of the SHA-256 of
+# each output's dtype, shape and first-index-fastest bytes.  The cases cover
+# rate 0 and 1, gamma 0 and 1, and corruption of an all-missing mask; ``y``
+# is the noisy tensor of the "synthesize" case.
+DIMS = (5, 4, 3)
+STREAMS = {
+    "rm": (lambda y: (rm_mask(DIMS, 0.4, 7),), ["7e4f81c93a7423f5"]),
+    "rm-rate-0": (lambda y: (rm_mask(DIMS, 0.0, 7),), ["ec035cd763ffb67c"]),
+    "rm-rate-1": (lambda y: (rm_mask(DIMS, 1.0, 7),), ["7c08bfb8d59ac5f1"]),
+    "nm": (lambda y: (nm_mask(DIMS, 0.4, 7),), ["9a60d0632f8c2a39"]),
+    "nm-rate-0": (lambda y: (nm_mask(DIMS, 0.0, 7),), ["ec035cd763ffb67c"]),
+    "nm-rate-1": (lambda y: (nm_mask(DIMS, 1.0, 7),), ["7c08bfb8d59ac5f1"]),
+    "corrupt": (
+        lambda y: corrupt(y, rm_mask(DIMS, 0.4, 7), CorruptionSpec(0.3, 5.0, 3)),
+        ["1ef240656163fe06", "569bae8479c8b778", "a36eabb56f4f478d"]),
+    "corrupt-gamma-0": (
+        lambda y: corrupt(y, rm_mask(DIMS, 0.4, 7), CorruptionSpec(0.0, 5.0, 3)),
+        ["b0aa01226404d3fe", "7c08bfb8d59ac5f1", "7e4f81c93a7423f5"]),
+    "corrupt-gamma-1": (
+        lambda y: corrupt(y, nm_mask(DIMS, 0.4, 7), CorruptionSpec(1.0, 5.0, 3)),
+        ["096431788e23cee5", "9a60d0632f8c2a39", "7c08bfb8d59ac5f1"]),
+    "corrupt-all-missing": (
+        lambda y: corrupt(y, rm_mask(DIMS, 1.0, 7), CorruptionSpec(0.5, 5.0, 3)),
+        ["2e8d1e03cfed2736", "7c08bfb8d59ac5f1", "7c08bfb8d59ac5f1"]),
+    "synthesize": (lambda y: (y,), ["0db45705cf359627"]),
+    "synthesize-noiseless": (
+        lambda y: (synthesize(SyntheticSpec(DIMS, 2, 0.0, 9)),), ["ea808e7227cc036a"]),
+}
+
+
+@pytest.mark.parametrize("case", STREAMS)
+def test_generator_streams_are_pinned(case):
+    make, pinned = STREAMS[case]
+    y = synthesize(SyntheticSpec(DIMS, 2, 0.5, 9))
+    digests = [
+        hashlib.sha256(f"{a.dtype.str}{a.shape}".encode()
+                       + a.tobytes(order="F")).hexdigest()[:16]
+        for a in make(y)
+    ]
+    assert digests == pinned

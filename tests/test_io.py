@@ -112,18 +112,39 @@ def test_tensor_file_size_formula(tmp_path):
     assert path.stat().st_size == 4 + 24 + 8 * 12 * 24 * 7 == 16156
 
 
-def test_read_tensor_rejects_bad_magic(tmp_path):
-    path = tmp_path / "t.tns"
-    path.write_bytes(struct.pack("<4s3Q", b"XXXX", 1, 1, 1) + struct.pack("<d", 0.0))
-    with pytest.raises(InputError, match="magic"):
-        read_tensor(path)
+# Each reader, with its magic, the bytes of one entry and the word its
+# body-length message uses.
+READERS = {"TNS1": (read_tensor, TENSOR_MAGIC, 8, "value"),
+           "MSK1": (read_mask, MASK_MAGIC, 1, "mask")}
 
 
-def test_read_tensor_rejects_truncated_body(tmp_path):
-    path = tmp_path / "t.tns"
-    path.write_bytes(struct.pack("<4s3Q", TENSOR_MAGIC, 2, 2, 2) + b"\x00" * 10)
-    with pytest.raises(InputError, match="value bytes"):
-        read_tensor(path)
+def _malformed(magic, size, word):
+    """Malformed files of one format: case -> (file bytes, the message
+    after "<path>: ")."""
+    head = struct.Struct("<4s3Q").pack
+    return {
+        "truncated-header": (magic + b"\x01" * 10, "truncated header (14 bytes)"),
+        "bad-magic": (head(b"XXXX", 1, 1, 1) + b"\x00" * size,
+                      f"bad magic b'XXXX', expected {magic.decode()}"),
+        "zero-dimension": (head(magic, 2, 0, 2), "zero dimension in header (2,0,2)"),
+        "short-body": (head(magic, 2, 2, 2) + b"\x00" * 3,
+                       f"expected {8 * size} {word} bytes, found 3"),
+    }
+
+
+@pytest.mark.parametrize("case", ["truncated-header", "bad-magic",
+                                  "zero-dimension", "short-body"])
+@pytest.mark.parametrize("fmt", READERS)
+def test_read_rejects_malformed_file(tmp_path, fmt, case):
+    """Both formats go through one reader, with the same checks and
+    messages: the header, then the body's length."""
+    read, magic, size, word = READERS[fmt]
+    content, message = _malformed(magic, size, word)[case]
+    path = tmp_path / "x.bin"
+    path.write_bytes(content)
+    with pytest.raises(InputError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_read_tensor_rejects_non_finite_payload(tmp_path):
@@ -198,6 +219,16 @@ def test_ingest_blank_cell_becomes_missing(tmp_path):
     assert not mask[0, 0, 1]
     assert tensor[0, 0, 1] == 0.0
     assert mask.sum() == 7
+
+
+def test_ingest_skips_a_utf8_byte_order_mark(tmp_path):
+    """Spreadsheet exports often start with a byte-order mark; it is not
+    part of the first cell."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+    tensor, mask = ingest_csv(path, (2, 1, 2))
+    np.testing.assert_array_equal(tensor[:, 0, :], [[1.0, 2.0], [3.0, 4.0]])
+    assert mask.all()
 
 
 def test_ingest_rejects_wrong_column_count(tmp_path):

@@ -16,7 +16,6 @@ from tensorfill.prox import (
     TruncatedRule,
     apply_shrinkage,
     log_weights,
-    shrinkage_thresholds,
     soft_threshold,
     svd,
 )
@@ -89,7 +88,7 @@ def test_weighted_svt_previous_spectrum_sets_thresholds():
 def test_zeroed_singular_value_stays_locked():
     """A zero in the previous spectrum yields a huge threshold forever."""
     sigma_prev = np.array([10.0, 0.0])
-    thresholds = shrinkage_thresholds(LogRule(1.0), np.array([10.0, 5.0]), sigma_prev)
+    thresholds = LogRule(1.0).thresholds(np.array([10.0, 5.0]), sigma_prev)
     assert thresholds[1] == pytest.approx(1.0 / DEFAULT_EPSILON)
 
 
@@ -204,8 +203,8 @@ def test_truncated_penalty_skips_the_exempt_values():
 def test_svd_reconstructs_and_rejects_non_finite():
     rng = np.random.default_rng(10)
     z = rng.normal(size=(4, 6))
-    factors = svd(z)
-    np.testing.assert_allclose((factors.u * factors.sigma) @ factors.vt, z, atol=1e-10)
+    u, sigma, vt = svd(z)
+    np.testing.assert_allclose((u * sigma) @ vt, z, atol=1e-10)
     bad = z.copy()
     bad[0, 0] = np.inf
     with pytest.raises(NumericError):
@@ -238,10 +237,9 @@ DEFICIENT_SIGMA_ATOL = 1e-7
 
 def _exact_shrinkage(z, rule, sigma_prev=None):
     """(u * shrunk) @ vt from the exact thin SVD."""
-    factors = svd(z)
-    thresholds = shrinkage_thresholds(rule, factors.sigma, sigma_prev)
-    shrunk = np.maximum(factors.sigma - thresholds, 0.0)
-    return (factors.u * shrunk) @ factors.vt, shrunk
+    u, sigma, vt = svd(z)
+    shrunk = np.maximum(sigma - rule.thresholds(sigma, sigma_prev), 0.0)
+    return (u * shrunk) @ vt, shrunk
 
 
 def _kernel_inputs():
@@ -266,7 +264,7 @@ def _kernel_rules(kind, sigma):
 @pytest.mark.parametrize("kind", ["plain", "log_weighted", "truncated"])
 def test_apply_shrinkage_matches_exact_svd(kind):
     for z, deficient in _kernel_inputs():
-        sigma = svd(z).sigma
+        sigma = svd(z)[1]
         priors = [None, 1.1 * sigma] if kind == "log_weighted" else [None]
         for rule in _kernel_rules(kind, sigma):
             for sigma_prev in priors:
@@ -284,7 +282,7 @@ def test_apply_shrinkage_matches_exact_svd(kind):
 def test_apply_shrinkage_extreme_magnitudes_match_exact_svd(scale):
     """Squaring 1e+-200 would leave the floating-point range unscaled."""
     z = scale * np.random.default_rng(13).normal(size=(6, 9))
-    sigma = svd(z).sigma
+    sigma = svd(z)[1]
     rule = TruncatedRule(0.5 * float(sigma[1]), 1)
     out, shrunk = apply_shrinkage(z, rule)
     ref, ref_shrunk = _exact_shrinkage(z, rule)
@@ -357,7 +355,7 @@ def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
     changes no bit of the output: with or without it the kernel runs the
     same code, and the output is a view of the workspace."""
     z = np.asarray(np.random.default_rng(14).normal(size=shape), order=order)
-    rule = TruncatedRule(float(svd(z).sigma[2]))  # keeps two components
+    rule = TruncatedRule(float(svd(z)[1][2]))  # keeps two components
     work = (np.full(z.size + 7, np.nan), np.full(z.size + 7, np.nan))
     out, shrunk = apply_shrinkage(z, rule)
     out_w, shrunk_w = apply_shrinkage(z, rule, None, work)
@@ -376,7 +374,7 @@ def test_in_place_kernel_gives_the_bytes_of_the_public_path(shape, order, peak):
     output, in the scale of z, over it."""
     rng = np.random.default_rng(15)
     z = np.asarray(peak * rng.uniform(-1.0, 1.0, size=shape), order=order)
-    rule = TruncatedRule(float(svd(z).sigma[2]))  # keeps two components
+    rule = TruncatedRule(float(svd(z)[1][2]))  # keeps two components
     out, shrunk = apply_shrinkage(z, rule)
     a, o = np.full(z.size, np.nan), np.full(z.size, np.nan)
     view = a.reshape(shape, order=order)
@@ -401,11 +399,10 @@ def test_unshrunk_component_at_the_largest_peak_stays_finite(tall):
     rule = TruncatedRule(1e305, 1)
     out, shrunk = apply_shrinkage(z, rule)
     # the exact prox, from the SVD of z / 2**1024 (exact: a power of two)
-    ref = svd(np.ldexp(z, -1024))
-    sigma = np.ldexp(ref.sigma, 1024)
+    u, sigma, vt = svd(np.ldexp(z, -1024))
+    sigma = np.ldexp(sigma, 1024)
     expected_shrunk = np.maximum(sigma - rule.thresholds(sigma), 0.0)
-    expected = np.ldexp(
-        (ref.u * np.ldexp(expected_shrunk, -1024)) @ ref.vt, 1024)
+    expected = np.ldexp((u * np.ldexp(expected_shrunk, -1024)) @ vt, 1024)
     assert np.all(np.isfinite(out))
     assert out[0, 0] == 1.5e308
     np.testing.assert_allclose(shrunk, expected_shrunk, rtol=1e-12)
