@@ -16,9 +16,7 @@ from .prox import (
     LogRule,
     TruncatedRule,
     apply_shrinkage,
-    log_weights,
     soft_threshold,
-    svd,
 )
 from .solvers import (
     METHODS,
@@ -27,10 +25,8 @@ from .solvers import (
     SolverResult,
     SolverState,
     WEIGHT,
-    check_convergence,
     complete,
     default_lambda,
 )
-from .tensor import apply_constraint, fold, unfold
 
 __version__ = "0.1.0"

@@ -32,7 +32,10 @@ mask), then exits 2 with every file untouched, and ``--workdir`` not yet
 created, when a replayed output would land on the manifest, on a file it
 records, or on another replayed output.  Next, before reading an input
 tensor, mask or CSV, each of these exits 3 (``cannot write <path>``) when
-an output path is a directory or its directory does not exist.
+an output path is a directory or its directory does not exist, and so do
+``synth`` and ``mask`` before they generate anything.  Every command
+checks its parameters first, and ``complete --anomaly-out`` with a method
+other than ``rtcpfnc``, which writes no anomaly tensor, exits 2.
 
 Exit codes: 0 success, 2 usage error, 3 input/format error, 4 numeric
 error.  A failed rerun comparison exits 1.
@@ -217,6 +220,7 @@ def cmd_synth(args):
         noise_sigma=args.noise,
         seed=args.seed,
     )
+    _check_targets([("output", args.out)], [])
     tensor = synthesize(spec)
     write_tensor(args.out, tensor)
     print(f"synth: dims={args.dims} rank={spec.rank} seed={spec.seed} -> {args.out}")
@@ -225,6 +229,10 @@ def cmd_synth(args):
 
 def cmd_mask(args):
     dims = _parse_dims(args.dims)
+    # the generators check these too, but only after the output path
+    check_scalar("missing_rate", args.rate, 0, 1)
+    check_scalar("seed", args.seed, 0, integer=True)
+    _check_targets([("output", args.out)], [])
     if args.pattern == "rm":
         mask = rm_mask(dims, args.rate, args.seed)
     else:
@@ -239,11 +247,11 @@ def cmd_mask(args):
 
 
 def cmd_corrupt(args):
+    spec = CorruptionSpec(gamma=args.gamma, s=args.s, seed=args.seed)
     _check_targets([("output", args.out), ("omega output", args.omega_out)],
                    [("tensor", args.tensor), ("mask", args.mask)])
     tensor = read_tensor(args.tensor)
     mask = read_mask(args.mask)
-    spec = CorruptionSpec(gamma=args.gamma, s=args.s, seed=args.seed)
     corrupted, omega_c, _ = corrupt(tensor, mask, spec)
     write_tensor(args.out, corrupted)
     write_mask(args.omega_out, omega_c)
@@ -282,19 +290,15 @@ def _check_targets(written, kept, workdir=None):
             raise InputError(f"cannot write {path}: no directory {directory}")
 
 
-def _solve_and_write(cfg, inputs, outputs, written=(), kept=(), workdir=None):
-    """The one solve-and-write step of ``complete`` and ``rerun``.
+def _solve_and_write(cfg, inputs, outputs):
+    """The one solve-and-write step of ``complete`` and ``rerun``, which
+    check the output paths with :func:`_check_targets` first.
 
     Reads the tensor and mask at the paths ``inputs`` maps those roles to,
     runs :func:`complete`, and writes each (role, path) pair of ``outputs``
-    (recovered, anomaly).  Before anything is read, exits through
-    :func:`_check_targets` (which creates ``workdir``, if given) if an
-    output would land on an input, on a (label, path) pair of ``kept``, on
-    another output or on a pair of ``written`` (files the caller writes),
-    or cannot be written.  Returns the result, the output file records and
+    (recovered, anomaly).  Returns the result, the output file records and
     the solve's wall-clock seconds.
     """
-    _check_targets([*outputs, *written], [*inputs.items(), *kept], workdir)
     tensor = read_tensor(inputs["tensor"])
     mask = read_mask(inputs["mask"])
     start = time.perf_counter()
@@ -315,9 +319,11 @@ def cmd_complete(args):
         root, ext = os.path.splitext(args.out)
         outputs.append(("anomaly", root + ".anomaly" + ext
                         if args.anomaly_out is None else args.anomaly_out))
+    elif args.anomaly_out is not None:
+        raise UsageError(f"--anomaly-out needs --method rtcpfnc, got {cfg.method}")
     inputs = {"tensor": args.tensor, "mask": args.mask}
-    result, records, wall = _solve_and_write(
-        cfg, inputs, outputs, written=[("manifest", args.manifest)])
+    _check_targets([*outputs, ("manifest", args.manifest)], inputs.items())
+    result, records, wall = _solve_and_write(cfg, inputs, outputs)
 
     shape = result.recovered.shape
     resolved_lam = cfg.lam if cfg.lam is not None else default_lambda(shape)
@@ -427,10 +433,11 @@ def cmd_rerun(args):
     recorded = manifest["outputs"]
     replay = [(e["role"], os.path.join(args.workdir, os.path.basename(e["path"])))
               for e in recorded]
+    inputs = {e["role"]: e["path"] for e in manifest["inputs"]}
     kept = [(f"recorded {e['role']}", e["path"]) for e in recorded + scored]
-    result, outputs, _ = _solve_and_write(
-        cfg, {e["role"]: e["path"] for e in manifest["inputs"]}, replay,
-        kept=kept + [("manifest", args.manifest)], workdir=args.workdir)
+    _check_targets(replay, [*inputs.items(), *kept, ("manifest", args.manifest)],
+                   args.workdir)
+    result, outputs, _ = _solve_and_write(cfg, inputs, replay)
     for entry, output in zip(recorded, outputs):
         if output["sha256"] != entry["sha256"]:
             print(f"rerun: output {entry['role']} differs")

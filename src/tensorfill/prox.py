@@ -128,20 +128,20 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None):
     singular vectors and V^T is never formed.  The output is
     ``U_r diag(shrunk_r / sigma_r) U_r^T A`` over the components r whose
     shrunk value is nonzero; no other component is divided by.  A is first
-    scaled by 2**-e, with e the exponent of max|A| (so the peak lies in
-    [0.5, 1)), so that A A^T neither overflows nor underflows.  U_r^T A is
-    formed from the scaled A too, and the small left factor
+    scaled by 2**-e, with e the exponent that puts the peak max|A| in
+    [1, 2), so that the largest entry of A A^T lies in [1, 4 n] for n
+    columns and neither overflows nor underflows.  U_r^T A is formed from
+    the scaled A too, and the small left factor
     ``U_r diag(shrunk_r / sigma_r)``, whose entries are at most 1, is
-    scaled by 2**e (by 2**1023 and the output by 2 when e is 1024), so the
-    output comes out in the scale of the input.  Scaling by a power of two
-    is exact and commutes with every rounding in the products, unless an
-    entry or product is subnormal.  Squaring A squares its condition
-    number: singular values below about sqrt(machine epsilon) * sigma_max
-    carry an absolute error of that order (an exact zero can come out as
-    large as about 1e-8 * sigma_max), and so does shrunk_sigma.  The output
-    matrix is built from U_r^T A rather than from sigma, and against the
-    exact SVD it agreed to 1e-14 * sigma_max on wide, tall and
-    rank-deficient inputs.
+    scaled by 2**e, at most 2**1023, so the output comes out in the scale
+    of the input.  Scaling by a power of two is exact and commutes with
+    every rounding in the products, unless an entry or product is
+    subnormal.  Squaring A squares its condition number: singular values
+    below about sqrt(machine epsilon) * sigma_max carry an absolute error
+    of that order (an exact zero can come out as large as about 1e-8 *
+    sigma_max), and so does shrunk_sigma.  The output matrix is built from
+    U_r^T A rather than from sigma, and against the exact SVD it agreed to
+    1e-14 * sigma_max on wide, tall and rank-deficient inputs.
 
     ``work`` is a pair of flat float64 arrays of at least ``z.size``
     entries each: the first holds U_r^T A, the second the scaled A and
@@ -165,7 +165,7 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None):
     peak = np.maximum(a.max(), -a.min())
     if not np.isfinite(peak):
         raise NumericError("shrinkage input contains non-finite values")
-    exponent = int(np.frexp(peak)[1])
+    exponent = int(np.frexp(peak)[1]) - 1
     # the layout np.ldexp would give a, so the products are unchanged; when
     # z is this view of work[1], the scaling runs in place
     a = np.ldexp(a, -exponent, out=out[: a.size].reshape(
@@ -182,13 +182,9 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None):
     rows = np.matmul(u.T, a, out=scratch[: u.shape[1] * a.shape[1]].reshape(
         u.shape[1], a.shape[1]))
     # a is not read again, so the output may take its memory; 2**e on the
-    # left factor undoes the scaling of a, and a left factor entry of 1
-    # times 2**1024 would overflow
-    head = min(exponent, 1023)
-    left = np.ldexp(u * (shrunk[keep] / sigma[keep]), head)
+    # left factor undoes the scaling of a
+    left = np.ldexp(u * (shrunk[keep] / sigma[keep]), exponent)
     mat = np.matmul(left, rows, out=out[: a.size].reshape(a.shape))
-    if exponent > head:
-        np.ldexp(mat, exponent - head, out=mat)
     return (mat.T if tall else mat), shrunk
 
 

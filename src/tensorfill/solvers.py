@@ -223,8 +223,6 @@ def complete(y, mask, cfg, iter_hook=None):
     # each mode's shrunk spectrum, the kernel's warm start for that mode
     sigmas = [None, None, None]
     history = []
-    converged = False
-    iterations = 0
 
     # The workspace: flat buffers A and O, which all three modes reuse (see
     # the module docstring), and one block of scratch for the elementwise
@@ -316,7 +314,6 @@ def complete(y, mask, cfg, iter_hook=None):
                     f"{cfg.method}: non-finite values at iteration {it}"
                 )
             history.append(obj)
-            iterations = it
 
             if iter_hook is not None:
                 iter_hook(
@@ -330,7 +327,6 @@ def complete(y, mask, cfg, iter_hook=None):
                 )
 
             if check_convergence(history, cfg.tol):
-                converged = True
                 break
 
     # (W L_0 + W L_1) + W L_2 with W = WEIGHT, and (E_0 + E_1 + E_2) / 3,
@@ -346,8 +342,8 @@ def complete(y, mask, cfg, iter_hook=None):
     return SolverResult(
         recovered=recovered,
         anomaly=anomaly,
-        iterations=iterations,
-        converged=converged,
+        iterations=len(history),
+        converged=check_convergence(history, cfg.tol),
         objective_history=tuple(history),
     )
 

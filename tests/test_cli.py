@@ -81,6 +81,17 @@ def _pipeline_files(tmp_path, dims="8,7,6", rate="0.3"):
     return y, m
 
 
+def _no_input_is_made(monkeypatch):
+    """Make the CLI's readers and generators fail if they are reached."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("an input was read or generated after a check "
+                             "should have failed")
+
+    for name in ("read_tensor", "read_mask", "ingest_csv", "synthesize",
+                 "rm_mask", "nm_mask"):
+        monkeypatch.setattr(cli, name, not_reached)
+
+
 def test_corrupt_gamma_zero_matches_masked_input(tmp_path):
     y, m = _pipeline_files(tmp_path)
     out, omega = tmp_path / "c.tns", tmp_path / "oc.msk"
@@ -124,6 +135,23 @@ def test_corrupt_missing_input_is_input_error(tmp_path):
     assert run("corrupt", "--tensor", tmp_path / "nope.tns", "--mask", m,
                "--gamma", "0.1", "--s", "1", "-o", tmp_path / "c.tns",
                "--omega-out", tmp_path / "oc.msk") == 3
+
+
+@pytest.mark.parametrize("flag, value", [("--gamma", "2"), ("--s", "-1"),
+                                         ("--seed", "-1")])
+def test_corrupt_bad_parameter_fails_before_reading(tmp_path, capsys,
+                                                    monkeypatch, flag, value):
+    """corrupt checks --gamma, --s and --seed before it reads its inputs, so
+    a bad value exits 2 even when the input files do not exist."""
+    _no_input_is_made(monkeypatch)
+    params = {"--gamma": "0.1", "--s": "5", "--seed": "0", flag: value}
+    assert run("corrupt", "--tensor", tmp_path / "nope.tns",
+               "--mask", tmp_path / "nope.msk",
+               *[a for item in params.items() for a in item],
+               "-o", tmp_path / "c.tns", "--omega-out", tmp_path / "oc.msk") == 2
+    err = capsys.readouterr().err
+    assert f"{flag.lstrip('-')} must be" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_complete_full_mask_reproduces_input(tmp_path):
@@ -214,6 +242,22 @@ def test_complete_alpha_flag_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--alpha" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["tcpfnc", "halrtc", "tnn"])
+def test_complete_anomaly_out_needs_the_robust_method(tmp_path, capsys,
+                                                      monkeypatch, method):
+    """Only rtcpfnc writes an anomaly tensor, so --anomaly-out with another
+    method exits 2 before any input is read, and nothing is written."""
+    y, m = _pipeline_files(tmp_path)
+    before = _files(tmp_path)
+    _no_input_is_made(monkeypatch)
+    assert run("complete", "--tensor", y, "--mask", m, "--method", method,
+               "--anomaly-out", tmp_path / "an.tns", "-o", tmp_path / "r.tns",
+               "--manifest", tmp_path / "man.json") == 2
+    err = capsys.readouterr().err
+    assert "--anomaly-out" in err and "Traceback" not in err
+    assert _files(tmp_path) == before
 
 
 def test_eval_worked_fixture(tmp_path, capsys):
@@ -662,21 +706,15 @@ def test_complete_into_missing_directory_fails_before_solving(
     assert not (tmp_path / "nodir").exists()
 
 
-def _no_input_is_read(monkeypatch):
-    def not_reached(*args, **kwargs):
-        raise AssertionError("an input was read although an output cannot be written")
-
-    for name in ("read_tensor", "read_mask", "ingest_csv"):
-        monkeypatch.setattr(cli, name, not_reached)
-
-
 # Output paths that cannot be written: "dir" is an existing directory and
 # "nodir" does not exist.  The inputs are y.tns, m.msk and d.csv, and c.tns,
-# a copy of y.tns, is eval's recovered tensor.
+# a copy of y.tns, is eval's recovered tensor; synth and mask read nothing.
 UNWRITABLE_OPTIONS = {**GENERATOR_OPTIONS, "complete": ("--method", "rtcpfnc"),
-                      "eval": ()}
+                      "eval": (), "synth": ("--dims", "2,2,2", "--rank", "1"),
+                      "mask": ("--dims", "2,2,2", "--pattern", "rm",
+                               "--rate", "0.5")}
 UNWRITABLE_INPUTS = {
-    **GENERATOR_INPUTS,
+    **GENERATOR_INPUTS, "synth": {}, "mask": {},
     "complete": {"--tensor": "y.tns", "--mask": "m.msk", "-o": "ok.tns",
                  "--manifest": "man.json"},
     "eval": {"--truth": "y.tns", "--recovered": "c.tns", "--mask": "m.msk"},
@@ -693,6 +731,10 @@ UNWRITABLE = [
     ("corrupt", {"-o": "ok.tns", "--omega-out": "nodir/oc.msk"}),
     ("ingest", {"-o": "dir", "--mask-out": "x.msk"}),
     ("ingest", {"-o": "x.tns", "--mask-out": "nodir/x.msk"}),
+    ("synth", {"-o": "dir"}),
+    ("synth", {"-o": "nodir/x.tns"}),
+    ("mask", {"-o": "dir"}),
+    ("mask", {"-o": "nodir/x.msk"}),
 ]
 
 
@@ -702,13 +744,14 @@ UNWRITABLE = [
 def test_unwritable_output_fails_before_reading(tmp_path, capsys, monkeypatch,
                                                 command, flags):
     """An output path that is a directory, or whose directory does not
-    exist, exits 3 before any input is read, and no file is written."""
+    exist, exits 3 before any input is read or generated, and no file is
+    written."""
     y, _ = _pipeline_files(tmp_path)
     shutil.copy(y, tmp_path / "c.tns")
     (tmp_path / "d.csv").write_text("1,2,,4\n5,6,7,8\n")
     (tmp_path / "dir").mkdir()
     before = _files(tmp_path)
-    _no_input_is_read(monkeypatch)
+    _no_input_is_made(monkeypatch)
     paths = {**UNWRITABLE_INPUTS[command], **flags}
     argv = [a for flag, name in paths.items() for a in (flag, tmp_path / name)]
     assert run(command, *UNWRITABLE_OPTIONS[command], *argv) == 3
@@ -727,7 +770,7 @@ def test_rerun_onto_a_directory_fails_before_reading(tmp_path, capsys,
     blocker = tmp_path / "w" / "rec.tns"
     blocker.mkdir(parents=True)
     before = _files(tmp_path)
-    _no_input_is_read(monkeypatch)
+    _no_input_is_made(monkeypatch)
     assert run("rerun", "--manifest", man, "--workdir", tmp_path / "w") == 3
     assert f"cannot write {blocker}" in capsys.readouterr().err
     assert _files(tmp_path) == before

@@ -387,9 +387,10 @@ def test_in_place_kernel_gives_the_bytes_of_the_public_path(shape, order, peak):
 
 @pytest.mark.parametrize("tall", [False, True])
 def test_unshrunk_component_at_the_largest_peak_stays_finite(tall):
-    """At max|z| of 1.5e308 the scaling exponent is 1024, and an exempt
-    component along a coordinate axis gives a left-factor entry of 1: the
-    kernel must not form 2**1024 on the way back to the scale of z."""
+    """At max|z| of 1.5e308 the scaling exponent is 1023, the largest there
+    is, and an exempt component along a coordinate axis gives a left-factor
+    entry of 1: the kernel must not form 2**1024 on the way back to the
+    scale of z."""
     rng = np.random.default_rng(16)
     z = np.zeros((3, 5))
     z[0, 0] = 1.5e308
@@ -407,3 +408,20 @@ def test_unshrunk_component_at_the_largest_peak_stays_finite(tall):
     assert out[0, 0] == 1.5e308
     np.testing.assert_allclose(shrunk, expected_shrunk, rtol=1e-12)
     assert np.max(np.abs(out - expected)) <= 1e-12 * sigma[0]
+
+
+@pytest.mark.parametrize("k", [-900, -300, -1, 1, 200, 900])
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("shape", [(5, 12), (12, 5), (7, 7)])
+def test_apply_shrinkage_is_power_of_two_scale_equivariant(shape, r, k):
+    """Scaling z and tau by 2**k scales the output and the shrunk spectrum
+    by 2**k, byte for byte: the kernel scales both inputs to the same
+    matrix.  The log rule is left out, since its epsilon does not scale."""
+    rng = np.random.default_rng(17)
+    z = rng.uniform(-1.0, 1.0, size=shape)
+    tau = float(svd(z)[1][2])
+    out, shrunk = apply_shrinkage(z, TruncatedRule(tau, r))
+    out_k, shrunk_k = apply_shrinkage(np.ldexp(z, k),
+                                      TruncatedRule(np.ldexp(tau, k), r))
+    assert out_k.tobytes() == np.ldexp(out, k).tobytes()
+    assert shrunk_k.tobytes() == np.ldexp(shrunk, k).tobytes()
