@@ -294,15 +294,19 @@ def _solve_and_write(cfg, inputs, outputs):
     """The one solve-and-write step of ``complete`` and ``rerun``, which
     check the output paths with :func:`_check_targets` first.
 
-    Reads the tensor and mask at the paths ``inputs`` maps those roles to,
-    runs :func:`complete`, and writes each (role, path) pair of ``outputs``
-    (recovered, anomaly).  Returns the result, the output file records and
-    the solve's wall-clock seconds.
+    Reads the mask and then the tensor at the paths ``inputs`` maps those
+    roles to, runs :func:`complete`, and writes each (role, path) pair of
+    ``outputs`` (recovered, anomaly).  Returns the result, the output file
+    records and the wall-clock seconds of the tensor read and the solve.
+
+    The tensor is read inside the call to :func:`complete` and no name here
+    holds it, so ``complete`` frees it once it has formed ``M``: on CPython
+    3.11 and later a call moves its argument references into the callee's
+    frame.  The read, about 12 ms at 120x96x60, is timed with the solve.
     """
-    tensor = read_tensor(inputs["tensor"])
     mask = read_mask(inputs["mask"])
     start = time.perf_counter()
-    result = complete(tensor, mask, cfg)
+    result = complete(read_tensor(inputs["tensor"]), mask, cfg)
     wall = time.perf_counter() - start
     records = []
     for role, path in outputs:

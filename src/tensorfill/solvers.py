@@ -28,29 +28,35 @@ array each, ``M`` as a C-ordered tensor and the hidden and observed
 entries as bool tensors, and after set-up it allocates nothing
 tensor-sized.  ``P_omega(Y)`` is not stored: ``M`` starts as it and keeps
 it on the observed entries, so the constraint is ``p * hidden + M *
-observed``.  The loop owns one workspace of two flat buffers of
-``y.size`` entries, which the three modes reuse in turn:
+observed``.  The loop owns one workspace, a flat buffer ``A`` of
+``y.size`` entries, which the three modes reuse in turn, and it borrows
+the slot of ``L_k`` while mode k updates: the previous ``L_k`` was last
+read by the previous iteration's elementwise steps and the hook, and the
+new one is written only once the kernel is done.
 
-* ``O`` holds the shrinkage input ``z``, built in blocks, and then the
-  kernel's ``U_r^T A``;
+* ``L_k``'s slot holds the shrinkage input ``z``, built in blocks, and
+  then the kernel's ``U_r^T A``;
 * ``A`` holds the mode-k unfolding in Fortran order, filled from ``z``
   with ``np.copyto`` through a fold view made once.  The unfolding is a
   view of the kernel's second buffer, so the kernel scales it in place
   and writes its output over it; the output is copied into ``L_k``
   through a fold view of the matrix the kernel returns.  After the three
-  kernels ``A`` holds ``M`` before the constraint.
+  kernels ``A`` holds ``M`` before the constraint, and then, robust
+  only, the scratch of ``sum |E_k|``.
 
 So the working set is 7.25 tensors of state (``M``, the three ``L_k`` and
 ``T_k``, and ``hidden`` and ``observed``, C-ordered bool tensors at one
 byte an entry made from the caller's bool mask, as
-:func:`tensor.check_mask` returns it) plus 2 of workspace, and 3 more for
-``E_k`` in the robust method: at 120x96x60 the traced peak is 9.3
-tensors for ``halrtc`` and 12.4 for ``rtcpfnc``.  The elementwise
-steps (consensus, constraint, the anomaly step with its soft threshold,
-and the multiplier update) run fused over flat C-order views in blocks of
+:func:`tensor.check_mask` returns it) plus 1 of workspace, and 3 more for
+``E_k`` in the robust method: at 120x96x60 the traced peak is 8.35
+tensors for ``halrtc`` and ``tcpfnc`` and 11.36 for ``rtcpfnc``.  The
+caller's ``y`` is not read once ``M`` is formed, and ``complete`` keeps no
+reference to it after that.  The elementwise steps (consensus,
+constraint, the anomaly step with its soft threshold, and the multiplier
+update) run fused over flat C-order views in blocks of
 :data:`BLOCK` entries, so the operands of one block stay in L2.
-``recovered`` and ``anomaly`` are formed in the free buffers after the
-loop.
+``recovered`` is formed in ``A`` after the loop and ``anomaly`` in
+``M``'s buffer, so neither is a view of the ``(3, n1, n2, n3)`` stacks.
 
 The copy of ``z`` into the unfolding is a transposing one for every
 mode; building ``z`` directly in the strided unfolding view instead was
@@ -196,7 +202,7 @@ def complete(y, mask, cfg, iter_hook=None):
     mask = check_mask(mask, y.shape)
     if not np.any(mask):
         raise InputError("mask has no observed entries")
-    dims = y.shape
+    dims, size = y.shape, y.size
     robust = cfg.method == "rtcpfnc"
     rho = cfg.rho
     lam = cfg.lam if cfg.lam is not None else default_lambda(dims)
@@ -208,13 +214,15 @@ def complete(y, mask, cfg, iter_hook=None):
             raise UsageError(f"rho={rho!r} is too small: {name} / rho is not finite")
     rules = [
         RULES[cfg.method](WEIGHT / rho,
-                          min(round(cfg.truncation_rate * n), min(n, y.size // n) - 1))
+                          min(round(cfg.truncation_rate * n), min(n, size // n) - 1))
         for n in dims
     ]
 
-    size = y.size
     # C-ordered; hidden and observed give the products of 1 - mask and mask
     m = np.multiply(y, mask, order="C")
+    # y is not read again: without this name, a caller that keeps no
+    # reference to it gets its memory back for the loop
+    del y
     hidden = np.logical_not(mask, order="C")
     observed = ~hidden
     lk = np.zeros((3,) + dims)
@@ -224,15 +232,13 @@ def complete(y, mask, cfg, iter_hook=None):
     sigmas = [None, None, None]
     history = []
 
-    # The workspace: flat buffers A and O, which all three modes reuse (see
-    # the module docstring), and one block of scratch for the elementwise
-    # steps.  A holds M before the constraint once the three kernels have
-    # run, and O is free then.
-    a, o = np.empty(size), np.empty(size)
+    # The workspace: one flat buffer A, which all three modes reuse, with
+    # L_k's own slot as the kernel's first buffer (see the module
+    # docstring), and one block of scratch for the elementwise steps.  A
+    # holds M before the constraint once the three kernels have run.
+    a = np.empty(size)
     tmp = np.empty(min(BLOCK, size))
     starts = range(0, size, BLOCK)
-    # the shrinkage input, built in blocks; also the scratch of sum |E_k|
-    z, z_blocks = o.reshape(dims), [o[i: i + BLOCK] for i in starts]
 
     def block_views(i):
         """Views of block i of every array the elementwise steps touch:
@@ -246,7 +252,7 @@ def complete(y, mask, cfg, iter_hook=None):
 
     blocks = [block_views(i) for i in starts]
     # the unfolding is a view of the kernel's second buffer: the kernel
-    # scales it in place, forms U_r^T A in O and its output in A
+    # scales it in place, forms U_r^T A in L_k's slot and its output in A
     unfoldings = [a.reshape((n, size // n), order="F") for n in dims]
     unfoldings_t = [fold(u, k, dims) for k, u in enumerate(unfoldings)]
 
@@ -288,24 +294,35 @@ def complete(y, mask, cfg, iter_hook=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
             for k in range(3):
-                for zb, (_, mb, _, _, _, _, tb, eb) in zip(z_blocks, blocks):
-                    np.divide(tb[k], rho, out=zb)
-                    np.subtract(mb, zb, out=zb)
+                # L_k is dead until its kernel's output is copied back, so
+                # its slot holds z, built in blocks, and then U_r^T A
+                for _, mb, _, _, _, lb, tb, eb in blocks:
+                    np.divide(tb[k], rho, out=lb[k])
+                    np.subtract(mb, lb[k], out=lb[k])
                     if robust:
-                        zb -= eb[k]
-                np.copyto(unfoldings_t[k], z)
+                        lb[k] -= eb[k]
+                np.copyto(unfoldings_t[k], lk[k])
                 mat, sigmas[k] = apply_shrinkage(
-                    unfoldings[k], rules[k], sigmas[k], (o, a))
+                    unfoldings[k], rules[k], sigmas[k], (lk[k].reshape(-1), a))
                 np.copyto(lk[k], fold(mat, k, dims))
             for block in blocks:
                 elementwise_steps(*block)
 
+            # the snapshot is taken before sum |E_k| overwrites A, which
+            # holds M before the constraint
+            state = None if iter_hook is None else SolverState(
+                m=m.copy(),
+                lk=tuple(x.copy() for x in lk),
+                ek=tuple(x.copy() for x in ek) if robust else None,
+                tk=tuple(x.copy() for x in tk),
+                m_pre_constraint=a.reshape(dims).copy(),
+            )
             obj = 0.0
             for k in range(3):
                 obj += WEIGHT * rules[k].penalty(sigmas[k])
             if robust:
                 obj += lam * sum(
-                    float(np.sum(np.abs(e, out=z))) for e in ek
+                    float(np.sum(np.abs(e, out=a.reshape(dims)))) for e in ek
                 )
             # max and min propagate NaN, so both are finite iff all of m is
             if not (np.isfinite(obj) and np.isfinite(m.max())
@@ -314,29 +331,21 @@ def complete(y, mask, cfg, iter_hook=None):
                     f"{cfg.method}: non-finite values at iteration {it}"
                 )
             history.append(obj)
-
-            if iter_hook is not None:
-                iter_hook(
-                    SolverState(
-                        m=m.copy(),
-                        lk=tuple(x.copy() for x in lk),
-                        ek=tuple(x.copy() for x in ek) if robust else None,
-                        tk=tuple(x.copy() for x in tk),
-                        m_pre_constraint=a.reshape(dims).copy(),
-                    )
-                )
+            if state is not None:
+                iter_hook(state)
 
             if check_convergence(history, cfg.tol):
                 break
 
-    # (W L_0 + W L_1) + W L_2 with W = WEIGHT, and (E_0 + E_1 + E_2) / 3,
-    # formed in the free workspace buffers, with T_0 as scratch
+    # (W L_0 + W L_1) + W L_2 with W = WEIGHT in A, with T_0 as scratch,
+    # and (E_0 + E_1 + E_2) / 3 in M's buffer: neither is a view of the
+    # stacks, which would keep them alive as long as the result
     recovered = np.multiply(lk[0], WEIGHT, out=a.reshape(dims))
     for k in (1, 2):
         recovered += np.multiply(lk[k], WEIGHT, out=tk[0])
     anomaly = None
     if robust:
-        anomaly = np.add(ek[0], ek[1], out=z)
+        anomaly = np.add(ek[0], ek[1], out=m)
         anomaly += ek[2]
         anomaly /= 3.0
     return SolverResult(

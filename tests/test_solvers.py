@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorfill.datagen import SyntheticSpec, rm_mask, synthesize
 from tensorfill.errors import InputError, NumericError, UsageError
@@ -404,12 +406,13 @@ def test_mask_dtype_does_not_change_the_solve(method):
         assert result.objective_history == base.objective_history
 
 
-@pytest.mark.parametrize("method, tensors", [("halrtc", 10), ("rtcpfnc", 13)])
+@pytest.mark.parametrize("method, tensors",
+                         [("halrtc", 9), ("tcpfnc", 9), ("rtcpfnc", 12)])
 def test_solve_peak_memory_in_tensors(method, tensors):
     """At 120x96x60 a solve allocates nothing tensor-sized after set-up: its
     peak traced memory is the state (M, L_k, T_k, [E_k], and hidden and
-    observed at one byte an entry) plus two workspace buffers, about 9.3
-    tensors for halrtc and 12.4 for rtcpfnc."""
+    observed at one byte an entry) plus one workspace buffer, about 8.35
+    tensors for halrtc and tcpfnc and 11.36 for rtcpfnc."""
     y, mask = _instance(25, dims=(120, 96, 60))
     observed = y * mask
     cfg = SolverConfig(method, rho=1e-3, tol=1e-30, max_iters=2)
@@ -420,6 +423,35 @@ def test_solve_peak_memory_in_tensors(method, tensors):
     finally:
         tracemalloc.stop()
     assert peak <= tensors * observed.nbytes
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(seed=st.integers(0, 2**16), dims=st.tuples(*[st.integers(2, 7)] * 3),
+       mask_dtype=st.sampled_from([np.bool_, np.uint8, np.float64]),
+       y_dtype=st.sampled_from([np.float64, np.float32]),
+       fortran=st.booleans())
+@settings(max_examples=25, deadline=None, database=None)
+def test_solve_leaves_inputs_alone_and_owns_its_outputs(
+        method, seed, dims, mask_dtype, y_dtype, fortran):
+    """The loop reuses its own buffers for the outputs: whatever the input
+    dtypes and layout, ``y`` and ``mask`` keep their bytes, and neither
+    ``recovered`` nor ``anomaly`` shares memory with them or each other."""
+    y, mask = _outlier_instance(seed, dims)
+    order = "F" if fortran else "C"
+    y = np.array(y * mask, dtype=y_dtype, order=order)
+    mask = np.array(mask, dtype=mask_dtype, order=order)
+    y_bytes, mask_bytes = y.tobytes(), mask.tobytes()
+    result = complete(y, mask, SolverConfig(
+        method, rho=1e-3, lam=1e-2, truncation_rate=0.3, max_iters=4))
+    assert y.tobytes() == y_bytes and mask.tobytes() == mask_bytes
+    outputs = [result.recovered]
+    if method == "rtcpfnc":
+        outputs.append(result.anomaly)
+        assert not np.shares_memory(*outputs)
+    else:
+        assert result.anomaly is None
+    for out in outputs:
+        assert not np.shares_memory(out, y) and not np.shares_memory(out, mask)
 
 
 @pytest.mark.parametrize("method", ["tcpfnc", "rtcpfnc"])
