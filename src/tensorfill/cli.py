@@ -37,6 +37,13 @@ an output path is a directory or its directory does not exist, and so do
 checks its parameters first, and ``complete --anomaly-out`` with a method
 other than ``rtcpfnc``, which writes no anomaly tensor, exits 2.
 
+``eval --manifest`` and ``rerun`` read a manifest through one check,
+:func:`_load_manifest`, so both exit 3, before they write anything, on
+the same manifests: a bad schema, a config value that :class:`SolverConfig`
+refuses, a top-level ``method`` that is not the config's, inputs that are
+not one tensor and one mask, and outputs that are not one file for each
+role ``complete`` writes for the method.
+
 Exit codes: 0 success, 2 usage error, 3 input/format error, 4 numeric
 error.  A failed rerun comparison exits 1.
 """
@@ -91,10 +98,10 @@ EVAL_LABELS = {"on_observed": bool, "pattern": str, "rate": NUMBER,
 EVAL_KEYS = {"truth": dict, "mask": dict, **EVAL_LABELS}
 # The config keys a manifest may record: the SolverConfig fields, and three
 # of older manifests.  ``threads`` sized a removed per-mode thread pool whose
-# results were bit-identical to serial, so rerun checks it and ignores it.
-# ``epsilon`` and ``alpha``, once fields, are now the model's constants (the
-# log rule's epsilon and the mode weights): rerun replays a manifest that
-# records one only at its value in CONSTANTS.
+# results were bit-identical to serial, so _load_manifest checks it and
+# ignores it.  ``epsilon`` and ``alpha``, once fields, are now the model's
+# constants (the log rule's epsilon and the mode weights): _load_manifest
+# accepts a manifest that records one only at its value in CONSTANTS.
 CONSTANTS = {"epsilon": DEFAULT_EPSILON, "alpha": [WEIGHT] * 3}
 CONFIG_KEYS = (frozenset(f.name for f in dataclasses.fields(SolverConfig))
                | {"threads"} | set(CONSTANTS))
@@ -110,28 +117,15 @@ def _parse_dims(text):
 
 def _sha256(path):
     """Return the hex SHA-256 of a file's bytes."""
-    digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
+            return hashlib.file_digest(fh, "sha256").hexdigest()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    return digest.hexdigest()
 
 
 def _file_entry(role, path):
     return {"role": role, "path": os.fspath(path), "sha256": _sha256(path)}
-
-
-def _verify_entry(entry):
-    """Check a manifest file entry's hash, raising on any mismatch."""
-    actual = _sha256(entry["path"])
-    if actual != entry["sha256"]:
-        raise InputError(
-            f"hash mismatch for {entry['role']} file {entry['path']}: "
-            f"manifest {entry['sha256'][:12]}.., actual {actual[:12]}.."
-        )
 
 
 def _write_json(path, payload):
@@ -160,9 +154,21 @@ def _require(record, keys, where):
         raise InputError(f"{where}: path contains a NUL byte")
 
 
+def _output_roles(method):
+    """The files ``complete`` writes for ``method``, in order, named by the
+    :class:`SolverResult` fields they hold."""
+    return ("recovered", "anomaly") if method == "rtcpfnc" else ("recovered",)
+
+
 def _load_manifest(path):
-    """Read a run manifest and check its schema, so that eval and rerun can
-    index it freely."""
+    """Read a run manifest and decide whether eval and rerun can use it.
+
+    Checks its schema, so that they can index it freely, and builds the
+    :class:`SolverConfig` it records.  The top-level method must be the
+    config's, the inputs one tensor and one mask, and the outputs one file
+    per role that ``complete`` writes for the method.  Returns the manifest
+    and the config.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -176,19 +182,30 @@ def _load_manifest(path):
     if manifest["manifest_version"] != MANIFEST_VERSION:
         raise InputError(f"{where} has unsupported version")
     _require(manifest, MANIFEST_KEYS, where)
-    if manifest["method"] not in METHODS:
-        raise InputError(f"{where}: unknown method {manifest['method']!r}")
-    config = manifest["config"]
-    _require(config, {"method": str}, f"{where}: config")
+    config = dict(manifest["config"])
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise InputError(f"{where}: unknown config keys {', '.join(unknown)}")
-    for key in ("inputs", "outputs"):
+    try:
+        if "threads" in config:
+            check_scalar("threads", config.pop("threads"), 1, integer=True)
+        for key, value in CONSTANTS.items():
+            recorded = config.pop(key, value)
+            if recorded != value:
+                raise UsageError(f"{key} must be {value!r}, got {recorded!r}")
+        cfg = SolverConfig(**config)
+    except (UsageError, TypeError, ValueError) as exc:
+        raise InputError(f"{where}: bad config value: {exc}")
+    if manifest["method"] != cfg.method:
+        raise InputError(f"{where}: method {manifest['method']!r} is not the "
+                         f"config's {cfg.method!r}")
+    for key, roles in (("inputs", ("tensor", "mask")),
+                       ("outputs", _output_roles(cfg.method))):
         for entry in manifest[key]:
             _require(entry, FILE_KEYS, f"{where}: {key} entry")
-    roles = {entry["role"] for entry in manifest["inputs"]}
-    if not {"tensor", "mask"} <= roles:
-        raise InputError(f"{where}: inputs need a tensor and a mask entry")
+        if sorted(entry["role"] for entry in manifest[key]) != sorted(roles):
+            raise InputError(f"{where}: {key} must be one file for each of: "
+                             f"{', '.join(roles)}")
     if manifest["eval"] is not None:
         _require(manifest["eval"], EVAL_KEYS, f"{where}: eval")
         for key in ("truth", "mask"):
@@ -197,7 +214,7 @@ def _load_manifest(path):
             _check_labels(manifest["eval"])
         except UsageError as exc:
             raise InputError(f"{where}: bad eval value: {exc}")
-    return manifest
+    return manifest, cfg
 
 
 def _check_labels(labels):
@@ -296,13 +313,14 @@ def _solve_and_write(cfg, inputs, outputs):
 
     Reads the mask and then the tensor at the paths ``inputs`` maps those
     roles to, runs :func:`complete`, and writes each (role, path) pair of
-    ``outputs`` (recovered, anomaly).  Returns the result, the output file
-    records and the wall-clock seconds of the tensor read and the solve.
+    ``outputs``: the result field the role names, to the path.  Returns the
+    result, the output file records and the wall-clock seconds of the
+    tensor read and the solve.
 
     The tensor is read inside the call to :func:`complete` and no name here
-    holds it, so ``complete`` frees it once it has formed ``M``: on CPython
-    3.11 and later a call moves its argument references into the callee's
-    frame.  The read, about 12 ms at 120x96x60, is timed with the solve.
+    holds it, so ``complete`` frees it once it has formed ``M``: a call
+    moves its argument references into the callee's frame.  The read, about
+    12 ms at 120x96x60, is timed with the solve.
     """
     mask = read_mask(inputs["mask"])
     start = time.perf_counter()
@@ -310,7 +328,7 @@ def _solve_and_write(cfg, inputs, outputs):
     wall = time.perf_counter() - start
     records = []
     for role, path in outputs:
-        write_tensor(path, result.recovered if role == "recovered" else result.anomaly)
+        write_tensor(path, getattr(result, role))
         records.append(_file_entry(role, path))
     return result, records, wall
 
@@ -318,13 +336,12 @@ def _solve_and_write(cfg, inputs, outputs):
 def cmd_complete(args):
     cfg = SolverConfig(args.method, rho=args.rho, lam=args.lam, tol=args.tol,
                        max_iters=args.max_iters, truncation_rate=args.trunc_rate)
-    outputs = [("recovered", args.out)]
-    if cfg.method == "rtcpfnc":
-        root, ext = os.path.splitext(args.out)
-        outputs.append(("anomaly", root + ".anomaly" + ext
-                        if args.anomaly_out is None else args.anomaly_out))
-    elif args.anomaly_out is not None:
+    roles = _output_roles(cfg.method)
+    if args.anomaly_out is not None and "anomaly" not in roles:
         raise UsageError(f"--anomaly-out needs --method rtcpfnc, got {cfg.method}")
+    root, ext = os.path.splitext(args.out)
+    outputs = list(zip(roles, (args.out, root + ".anomaly" + ext
+                               if args.anomaly_out is None else args.anomaly_out)))
     inputs = {"tensor": args.tensor, "mask": args.mask}
     _check_targets([*outputs, ("manifest", args.manifest)], inputs.items())
     result, records, wall = _solve_and_write(cfg, inputs, outputs)
@@ -379,8 +396,8 @@ def cmd_eval(args):
     recovered = read_tensor(args.recovered)
     method, iters, manifest = "-", 0, None
     if args.manifest is not None:
-        manifest = _load_manifest(args.manifest)
-        method, iters = manifest["method"], manifest["iterations"]
+        manifest, cfg = _load_manifest(args.manifest)
+        method, iters = cfg.method, manifest["iterations"]
     report, row = _score(args.truth, args.mask, recovered, method, iters, **labels)
 
     # JSON has no NaN or infinity: an undefined MAPE, or an RMSE that
@@ -417,22 +434,15 @@ def cmd_ingest(args):
 
 
 def cmd_rerun(args):
-    manifest = _load_manifest(args.manifest)
+    manifest, cfg = _load_manifest(args.manifest)
     info = manifest["eval"]
     scored = [] if info is None else [info["truth"], info["mask"]]
     for entry in manifest["inputs"] + scored:
-        _verify_entry(entry)
-    config = dict(manifest["config"])
-    try:
-        if "threads" in config:
-            check_scalar("threads", config.pop("threads"), 1, integer=True)
-        for key, value in CONSTANTS.items():
-            recorded = config.pop(key, value)
-            if recorded != value:
-                raise UsageError(f"{key} must be {value!r}, got {recorded!r}")
-        cfg = SolverConfig(**config)
-    except (UsageError, TypeError, ValueError) as exc:
-        raise InputError(f"manifest {args.manifest}: bad config value: {exc}")
+        actual = _sha256(entry["path"])
+        if actual != entry["sha256"]:
+            raise InputError(
+                f"hash mismatch for {entry['role']} file {entry['path']}: "
+                f"manifest {entry['sha256'][:12]}.., actual {actual[:12]}..")
 
     recorded = manifest["outputs"]
     replay = [(e["role"], os.path.join(args.workdir, os.path.basename(e["path"])))
@@ -449,7 +459,7 @@ def cmd_rerun(args):
 
     if info is not None:
         _, row = _score(info["truth"]["path"], info["mask"]["path"],
-                        result.recovered, manifest["method"], result.iterations,
+                        result.recovered, cfg.method, result.iterations,
                         **{key: info[key] for key in EVAL_LABELS})
         print(f"recorded: {manifest['csv_row']}")
         print(f"rerun:    {row}")

@@ -3,7 +3,6 @@
 import json
 import shutil
 import struct
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from tensorfill.cli import _load_manifest, main
 from tensorfill.datagen import SyntheticSpec, synthesize
 from tensorfill.errors import TensorfillError
 from tensorfill.io import ingest_csv, read_mask, read_tensor, write_mask, write_tensor
-from tensorfill.solvers import SolverConfig, complete
+from tensorfill.solvers import METHODS, SolverConfig, complete
 
 
 def run(*argv):
@@ -205,9 +204,6 @@ def test_complete_robust_emits_anomaly_file(tmp_path):
     assert read_tensor(anomaly).shape == (8, 7, 6)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-    "before CPython 3.11 the caller's stack keeps a call's arguments alive, "
-    "so the input tensor is not freed during the solve"))
 def test_complete_frees_the_input_tensor_during_the_solve(tmp_path):
     """The CLI holds no reference to the tensor it reads, so ``complete``
     frees it once M is formed: at 120x96x60 the traced peak of the command
@@ -361,14 +357,14 @@ def test_ingest_bad_cell_is_input_error(tmp_path):
                "-o", tmp_path / "t.tns", "--mask-out", tmp_path / "m.msk") == 3
 
 
-def _recorded_run(tmp_path):
+def _recorded_run(tmp_path, method="rtcpfnc"):
     """synth -> mask -> corrupt -> complete -> eval, manifest annotated."""
     y, m = _pipeline_files(tmp_path)
     yc, oc = tmp_path / "yc.tns", tmp_path / "oc.msk"
     run("corrupt", "--tensor", y, "--mask", m, "--gamma", "0.1", "--s", "50",
         "--seed", "4", "-o", yc, "--omega-out", oc)
     rec, man = tmp_path / "rec.tns", tmp_path / "man.json"
-    run("complete", "--tensor", yc, "--mask", m, "--method", "rtcpfnc",
+    run("complete", "--tensor", yc, "--mask", m, "--method", method,
         "--rho", "1e-3", "--lambda", "1e-2", "--max-iters", "20",
         "-o", rec, "--manifest", man)
     run("eval", "--truth", y, "--recovered", rec, "--mask", m,
@@ -408,6 +404,33 @@ def test_rerun_reproduces_identical_row(tmp_path, capsys):
     man = _recorded_run(tmp_path)
     assert run("rerun", "--manifest", man, "--workdir", tmp_path / "replay") == 0
     assert "rerun: identical" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_rerun_replays_every_method_byte_for_byte(tmp_path, capsys, method):
+    man = _recorded_run(tmp_path, method)
+    manifest = json.loads(man.read_text())
+    assert run("rerun", "--manifest", man, "--workdir", tmp_path / "replay") == 0
+    out = capsys.readouterr().out
+    assert out.endswith("rerun: identical\n")
+    assert f"rerun:    {manifest['csv_row']}\n" in out
+    for entry in manifest["outputs"]:
+        replayed = tmp_path / "replay" / Path(entry["path"]).name
+        assert replayed.read_bytes() == Path(entry["path"]).read_bytes()
+
+
+@pytest.mark.parametrize("method, role", [("halrtc", "recovered"),
+                                          ("rtcpfnc", "anomaly")])
+def test_rerun_detects_a_differing_output(tmp_path, capsys, method, role):
+    """A replayed output whose hash is not the recorded one fails with exit
+    1 and names its role."""
+    def edit(manifest):
+        next(e for e in manifest["outputs"] if e["role"] == role)["sha256"] = "0" * 64
+
+    man = _edited_run(tmp_path, edit, method)
+    capsys.readouterr()
+    assert run("rerun", "--manifest", man, "--workdir", tmp_path / "replay") == 1
+    assert capsys.readouterr().out == f"rerun: output {role} differs\n"
 
 
 def test_rerun_detects_tampered_input(tmp_path):
@@ -465,12 +488,18 @@ def test_rerun_missing_manifest_is_input_error(tmp_path):
                "--workdir", tmp_path / "w") == 3
 
 
-def _rerun_edited(tmp_path, edit):
-    man = _recorded_run(tmp_path)
+def _edited_run(tmp_path, edit, method="rtcpfnc"):
+    """The manifest of a recorded run, changed in place by ``edit``."""
+    man = _recorded_run(tmp_path, method)
     manifest = json.loads(man.read_text())
     edit(manifest)
     man.write_text(json.dumps(manifest))
-    return run("rerun", "--manifest", man, "--workdir", tmp_path / "replay")
+    return man
+
+
+def _rerun_edited(tmp_path, edit):
+    return run("rerun", "--manifest", _edited_run(tmp_path, edit),
+               "--workdir", tmp_path / "replay")
 
 
 def test_rerun_unknown_config_key_is_input_error(tmp_path, capsys):
@@ -524,11 +553,33 @@ def test_rerun_replays_a_manifest_recording_epsilon(tmp_path, capsys):
     assert "rerun: identical" in capsys.readouterr().out
 
 
+def _both_refuse(tmp_path, capsys, edit, key, method="rtcpfnc"):
+    """Assert that rerun and eval --manifest, given the manifest of a
+    recorded run after ``edit``, each exit 3 before they write anything,
+    with one error line that names ``key``."""
+    man = _edited_run(tmp_path, edit, method)
+    before = _files(tmp_path)
+    y, m = tmp_path / "y.tns", tmp_path / "m.msk"
+    assert run("rerun", "--manifest", man, "--workdir", tmp_path / "replay") == 3
+    assert run("eval", "--truth", y, "--recovered", y, "--mask", m,
+               "--manifest", man, "--json-out", tmp_path / "r.json") == 3
+    assert _files(tmp_path) == before and not (tmp_path / "replay").exists()
+    errors = capsys.readouterr().err.replace(str(man), "").splitlines()
+    assert len(errors) == 2
+    assert all(e.startswith("error: ") and key in e for e in errors)
+
+
+def _set(record, key, value):
+    """An edit that sets ``key`` of the manifest, or of its ``record``."""
+    def edit(manifest):
+        (manifest[record] if record else manifest)[key] = value
+    return edit
+
+
 def test_mistyped_manifest_value_is_input_error(tmp_path, capsys):
     """A JSON true or false where a number is required, a method that is
-    none of METHODS, and an eval label outside the domain of its flag, exit
-    3 in rerun and in eval --manifest, before anything is written."""
-    y, m = tmp_path / "y.tns", tmp_path / "m.msk"
+    not the config's, and an eval label outside the domain of its flag,
+    exit 3 in rerun and in eval --manifest, before anything is written."""
     for record, key, value in ((None, "manifest_version", True),
                                (None, "iterations", True),
                                ("eval", "rate", True),
@@ -538,19 +589,34 @@ def test_mistyped_manifest_value_is_input_error(tmp_path, capsys):
                                ("eval", "seed", -3),
                                (None, "method", "tcpfnc,x"),
                                ("eval", "pattern", "rm,x")):
-        def edit(manifest):
-            (manifest[record] if record else manifest)[key] = value
+        _both_refuse(tmp_path, capsys, _set(record, key, value), key)
 
-        assert _rerun_edited(tmp_path, edit) == 3
-        man = tmp_path / "man.json"
-        before = _files(tmp_path)
-        assert run("eval", "--truth", y, "--recovered", y, "--mask", m,
-                   "--manifest", man, "--json-out", tmp_path / "r.json") == 3
-        assert _files(tmp_path) == before
-        err = capsys.readouterr().err
-        assert err.count("error: ") == 2 and "Traceback" not in err
-        assert key in err
-        assert not (tmp_path / "replay").exists()
+
+def _add_anomaly(manifest):
+    recovered = manifest["outputs"][0]
+    manifest["outputs"].append(dict(recovered, role="anomaly",
+                                    path=recovered["path"] + ".anomaly"))
+
+
+# Manifests that rerun and eval --manifest refuse alike: the method of the
+# run, the edit, and the key the error names.
+MALFORMED = {
+    "rho-fast": ("rtcpfnc", _set("config", "rho", "fast"), "rho"),
+    "epsilon": ("rtcpfnc", _set("config", "epsilon", 2e-6), "epsilon"),
+    "config-method": ("rtcpfnc", _set("config", "method", "nosuch"), "method"),
+    "method-not-config": ("rtcpfnc", _set(None, "method", "tcpfnc"), "method"),
+    "no-outputs": ("rtcpfnc", _set(None, "outputs", []), "outputs"),
+    "halrtc-anomaly": ("halrtc", _add_anomaly, "outputs"),
+    "rtcpfnc-no-anomaly": ("rtcpfnc", lambda m: m["outputs"].pop(), "outputs"),
+    "two-tensors": ("rtcpfnc", lambda m: m["inputs"].append(m["inputs"][0]),
+                    "inputs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_eval_and_rerun_refuse_the_same_manifests(tmp_path, capsys, case):
+    method, edit, key = MALFORMED[case]
+    _both_refuse(tmp_path, capsys, edit, key, method)
 
 
 @pytest.mark.parametrize("flags", [
