@@ -42,7 +42,9 @@ other than ``rtcpfnc``, which writes no anomaly tensor, exits 2.
 the same manifests: a bad schema, a config value that :class:`SolverConfig`
 refuses, a top-level ``method`` that is not the config's, inputs that are
 not one tensor and one mask, and outputs that are not one file for each
-role ``complete`` writes for the method.
+role ``complete`` writes for the method.  ``eval --manifest`` also exits
+3, before it writes anything, when ``--recovered`` is not the recovered
+output the manifest records, by its sha256.
 
 Exit codes: 0 success, 2 usage error, 3 input/format error, 4 numeric
 error.  A failed rerun comparison exits 1.
@@ -122,6 +124,16 @@ def _sha256(path):
             return hashlib.file_digest(fh, "sha256").hexdigest()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+
+
+def _check_hash(entry, path):
+    """Raise InputError unless the file at ``path`` has the sha256 that the
+    manifest's file record ``entry`` holds."""
+    actual = _sha256(path)
+    if actual != entry["sha256"]:
+        raise InputError(
+            f"hash mismatch for {entry['role']} file {path}: "
+            f"manifest {entry['sha256'][:12]}.., actual {actual[:12]}..")
 
 
 def _file_entry(role, path):
@@ -397,6 +409,9 @@ def cmd_eval(args):
     method, iters, manifest = "-", 0, None
     if args.manifest is not None:
         manifest, cfg = _load_manifest(args.manifest)
+        # the score and row go into the manifest only for the run it records
+        _check_hash(next(e for e in manifest["outputs"]
+                         if e["role"] == "recovered"), args.recovered)
         method, iters = cfg.method, manifest["iterations"]
     report, row = _score(args.truth, args.mask, recovered, method, iters, **labels)
 
@@ -438,11 +453,7 @@ def cmd_rerun(args):
     info = manifest["eval"]
     scored = [] if info is None else [info["truth"], info["mask"]]
     for entry in manifest["inputs"] + scored:
-        actual = _sha256(entry["path"])
-        if actual != entry["sha256"]:
-            raise InputError(
-                f"hash mismatch for {entry['role']} file {entry['path']}: "
-                f"manifest {entry['sha256'][:12]}.., actual {actual[:12]}..")
+        _check_hash(entry, entry["path"])
 
     recorded = manifest["outputs"]
     replay = [(e["role"], os.path.join(args.workdir, os.path.basename(e["path"])))

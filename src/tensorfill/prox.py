@@ -140,24 +140,31 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None):
     below about sqrt(machine epsilon) * sigma_max carry an absolute error
     of that order (an exact zero can come out as large as about 1e-8 *
     sigma_max), and so does shrunk_sigma.  The output matrix is built from
-    U_r^T A rather than from sigma, and against the exact SVD it agreed to
+    A rather than from sigma, and against the exact SVD it agreed to
     1e-14 * sigma_max on wide, tall and rank-deficient inputs.
 
+    The output is formed by the cheaper of two associations, counted in
+    flops for n rows (the smaller side), N columns and r kept components:
+    ``(U_r D U_r^T) A``, one n x n x N product, when 2 r > n, and
+    ``(U_r D) (U_r^T A)``, two n x r x N products, otherwise.  The two
+    round differently, by about 1e-15 relative.
+
     ``work`` is a pair of flat float64 arrays of at least ``z.size``
-    entries each: the first holds U_r^T A, the second the scaled A and
-    then the output, and the returned matrix is a view of it.  Without
-    ``work`` the kernel allocates the pair itself.  ``z`` either shares no
-    memory with ``work`` or is ``work[1][:z.size]`` reshaped to its shape
-    in C or Fortran order; then A is scaled in place and the output
-    overwrites it, which is how ``solvers.complete`` runs a mode update in
-    two buffers.
+    entries each; without it the kernel allocates the pair itself.  The
+    second holds the scaled A.  The output goes to the buffer that does not
+    hold A when 2 r > n, and over A, once ``U_r^T A`` is formed in the
+    first buffer, otherwise; the returned matrix is a view of that buffer,
+    laid out as A is, so a C-ordered ``z`` gives a C-ordered output
+    whether or not it is transposed.  ``z`` either shares no memory with
+    ``work`` or is ``work[1][:z.size]`` reshaped to its shape in C or
+    Fortran order; then A is scaled in place, which is how
+    ``solvers.complete`` runs a mode update in two buffers.
 
     Raises NumericError on non-finite input or eigensolver non-convergence.
     """
     a = np.asarray(z, dtype=np.float64)
     if work is None:
         work = (np.empty(a.size), np.empty(a.size))
-    scratch, out = work
     tall = a.shape[0] > a.shape[1]
     if tall:
         a = a.T
@@ -166,10 +173,10 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None):
     if not np.isfinite(peak):
         raise NumericError("shrinkage input contains non-finite values")
     exponent = int(np.frexp(peak)[1]) - 1
-    # the layout np.ldexp would give a, so the products are unchanged; when
-    # z is this view of work[1], the scaling runs in place
-    a = np.ldexp(a, -exponent, out=out[: a.size].reshape(
-        a.shape, order="F" if a.flags.f_contiguous else "C"))
+    # matrices in the buffers take a's layout, which np.ldexp would give it;
+    # when z is this view of work[1], the scaling runs in place
+    order = "F" if a.flags.f_contiguous else "C"
+    a = np.ldexp(a, -exponent, out=work[1][: a.size].reshape(a.shape, order=order))
     try:
         w, u = np.linalg.eigh(a @ a.T)
     except np.linalg.LinAlgError as exc:
@@ -179,12 +186,18 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None):
     # thresholds are >= 0, so sigma >= shrunk > 0 on every kept component
     keep = shrunk > 0.0
     u = u[:, ::-1][:, keep]
-    rows = np.matmul(u.T, a, out=scratch[: u.shape[1] * a.shape[1]].reshape(
-        u.shape[1], a.shape[1]))
-    # a is not read again, so the output may take its memory; 2**e on the
-    # left factor undoes the scaling of a
+    n, r = u.shape
+    # 2**e on the left factor undoes the scaling of a
     left = np.ldexp(u * (shrunk[keep] / sigma[keep]), exponent)
-    mat = np.matmul(left, rows, out=out[: a.size].reshape(a.shape))
+    if 2 * r > n:
+        mat = np.matmul(left @ u.T, a, out=work[0][: a.size].reshape(
+            a.shape, order=order))
+    else:
+        rows = np.matmul(u.T, a, out=work[0][: r * a.shape[1]].reshape(
+            r, a.shape[1]))
+        # a is not read again, so the output may take its memory
+        mat = np.matmul(left, rows, out=work[1][: a.size].reshape(
+            a.shape, order=order))
     return (mat.T if tall else mat), shrunk
 
 

@@ -9,7 +9,11 @@ parameter rho and the three modes weighted equally, by :data:`WEIGHT`:
    (``tcpfnc``, ``rtcpfnc``), the nuclear norm (``halrtc``) or the truncated
    nuclear norm (``tnn``).  Each shrink works from the eigendecomposition of
    the Gram matrix of the unfolding's smaller side
-   (:func:`prox.apply_shrinkage`), not a full SVD.
+   (:func:`prox.apply_shrinkage`), not a full SVD.  Modes 0 and 2 shrink
+   the C-order matrices ``z.reshape(n1, -1)`` and ``z.reshape(-1, n3)``
+   instead of their unfoldings: these are the mode-0 unfolding and the
+   transpose of the mode-2 one up to a permutation of their columns, which
+   leaves the shrinkage unchanged.
 2. ``M <- mean_k(L_k [+ E_k] + T_k/rho)``, then observed entries are reset
    to the data: ``P_omega(M) = P_omega(Y)`` holds after every iteration.
 3. robust only: ``E_k <- soft_threshold(M - L_k - T_k/rho, lambda/rho)``
@@ -34,15 +38,22 @@ the slot of ``L_k`` while mode k updates: the previous ``L_k`` was last
 read by the previous iteration's elementwise steps and the hook, and the
 new one is written only once the kernel is done.
 
-* ``L_k``'s slot holds the shrinkage input ``z``, built in blocks, and
-  then the kernel's ``U_r^T A``;
-* ``A`` holds the mode-k unfolding in Fortran order, filled from ``z``
-  with ``np.copyto`` through a fold view made once.  The unfolding is a
-  view of the kernel's second buffer, so the kernel scales it in place
-  and writes its output over it; the output is copied into ``L_k``
-  through a fold view of the matrix the kernel returns.  After the three
-  kernels ``A`` holds ``M`` before the constraint, and then, robust
-  only, the scratch of ``sum |E_k|``.
+* modes 0 and 2: ``z`` is built in blocks in ``A``, in C order, and the
+  kernel's input is a C-order view of ``A``, so neither the input nor the
+  output is copied across layouts.  ``L_k``'s slot is the kernel's first
+  buffer: the output is formed there when the kernel keeps more than half
+  of the components, and otherwise ``U_r^T A`` is formed there and the
+  output over ``A``, from which one contiguous copy moves it to ``L_k``.
+* mode 1: ``z`` is built in blocks in ``L_1``'s slot, and ``A`` holds the
+  mode-1 unfolding in Fortran order, filled from ``z`` with
+  ``np.copyto`` through a fold view made once.  The kernel scales it in
+  place and forms its output over it or in ``L_1``'s slot; an output in
+  the slot is first copied, contiguously, into ``A`` (folding it onto
+  itself would make numpy copy it whole), and the output in ``A`` is
+  copied into ``L_1`` through the fold view.
+
+After the three kernels ``A`` holds ``M`` before the constraint, and
+then, robust only, the scratch of ``sum |E_k|``.
 
 So the working set is 7.25 tensors of state (``M``, the three ``L_k`` and
 ``T_k``, and ``hidden`` and ``observed``, C-ordered bool tensors at one
@@ -58,23 +69,24 @@ update) run fused over flat C-order views in blocks of
 ``recovered`` is formed in ``A`` after the loop and ``anomaly`` in
 ``M``'s buffer, so neither is a view of the ``(3, n1, n2, n3)`` stacks.
 
-The copy of ``z`` into the unfolding is a transposing one for every
-mode; building ``z`` directly in the strided unfolding view instead was
-slower (about 9% per iteration at 120x96x60 and 5% at 30x24x14), and so
-was scaling during that copy with ``np.ldexp`` (a strided ``ldexp`` took
-nearly twice as long as ``np.copyto`` and an in-place pass together).
-For the same reason the kernel undoes the scaling on its small factor
-``U_r D`` rather than during the copy into ``L_k``.  The kernel's output
-is ``(U_r D) (U_r^T A)``; reassociating it as ``(U_r D U_r^T) A`` would
-save a product but changes rounding, and the desk ``tcpfnc`` stops of the
-criterion-4 protocol are rounding-sensitive (see the README).
+Building mode 1's ``z`` directly in its strided unfolding view instead of
+copying it there was slower (about 9% per iteration at 120x96x60 and 5%
+at 30x24x14), and so was scaling during that copy with ``np.ldexp`` (a
+strided ``ldexp`` took nearly twice as long as ``np.copyto`` and an
+in-place pass together).  For the same reason the kernel undoes the
+scaling on a small factor rather than during a copy.  Against the loop
+before this layout, which unfolded every mode and formed every output as
+``(U_r D) (U_r^T A)``, seeded solves differ by rounding, about 1e-15
+relative per iteration; the desk ``tcpfnc`` stops of the criterion-4
+protocol are rounding-sensitive, so some of them moved (see the README).
 
 The arithmetic and its order are those of a loop that allocates a fresh
 array for every intermediate (``z = (M - T_k/rho) - E_k``, the sums
 ``(X_0 + X_1) + X_2``, the constraint as the two products and the sum of
 :func:`tensor.apply_constraint`), every reduction (the rule penalties,
-``sum |E_k|``) runs over the whole array, the matrix products see the
-operand layouts of that loop, and the scaling by 2**-e and back is exact
+``sum |E_k|``) runs over the whole array, the kernel sees the operand
+layouts of that loop (C-order views of ``z`` for modes 0 and 2 and the
+unfolding for mode 1), and the scaling by 2**-e and back is exact
 short of subnormal values, so seeded solves are bit-identical to it;
 ``tests/test_solvers.py`` keeps it as the reference.  The one difference
 is the sign of an exact zero: the constraint adds ``M * observed`` where
@@ -251,10 +263,14 @@ def complete(y, mask, cfg, iter_hook=None):
                   for x in (lk, tk, ek)))
 
     blocks = [block_views(i) for i in starts]
-    # the unfolding is a view of the kernel's second buffer: the kernel
-    # scales it in place, forms U_r^T A in L_k's slot and its output in A
-    unfoldings = [a.reshape((n, size // n), order="F") for n in dims]
-    unfoldings_t = [fold(u, k, dims) for k, u in enumerate(unfoldings)]
+    # the kernel's inputs, views of its second buffer A: modes 0 and 2
+    # shrink C-order views, in the tensor's own layout (mode 2 as the
+    # transpose of its unfolding), and mode 1 its Fortran-order unfolding,
+    # filled from L_1's slot through the fold view made here
+    inputs = [a.reshape(dims[0], -1), a.reshape((dims[1], size // dims[1]),
+                                                 order="F"),
+              a.reshape(-1, dims[2])]
+    unfolded = fold(inputs[1], 1, dims)
 
     def elementwise_steps(p, mb, hb, ob, t, lb, tb, eb):
         """Consensus, constraint, anomaly and multiplier steps on one block."""
@@ -294,17 +310,27 @@ def complete(y, mask, cfg, iter_hook=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
             for k in range(3):
-                # L_k is dead until its kernel's output is copied back, so
-                # its slot holds z, built in blocks, and then U_r^T A
-                for _, mb, _, _, _, lb, tb, eb in blocks:
-                    np.divide(tb[k], rho, out=lb[k])
-                    np.subtract(mb, lb[k], out=lb[k])
+                # L_k is dead until its new value is written, so z is
+                # built in blocks in A, or in L_1's slot for mode 1
+                for p, mb, _, _, _, lb, tb, eb in blocks:
+                    zb = lb[1] if k == 1 else p
+                    np.divide(tb[k], rho, out=zb)
+                    np.subtract(mb, zb, out=zb)
                     if robust:
-                        lb[k] -= eb[k]
-                np.copyto(unfoldings_t[k], lk[k])
+                        zb -= eb[k]
+                if k == 1:
+                    np.copyto(unfolded, lk[1])
                 mat, sigmas[k] = apply_shrinkage(
-                    unfoldings[k], rules[k], sigmas[k], (lk[k].reshape(-1), a))
-                np.copyto(lk[k], fold(mat, k, dims))
+                    inputs[k], rules[k], sigmas[k], (lk[k].reshape(-1), a))
+                over_a = np.may_share_memory(mat, a)
+                if k == 1:
+                    # an output in L_1's slot goes through A: folding it
+                    # onto itself would copy it whole
+                    if not over_a:
+                        np.copyto(inputs[1], mat)
+                    np.copyto(lk[1], unfolded)
+                elif over_a:
+                    np.copyto(lk[k], mat.reshape(dims))
             for block in blocks:
                 elementwise_steps(*block)
 

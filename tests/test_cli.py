@@ -380,6 +380,21 @@ def test_eval_annotates_manifest(tmp_path):
     assert manifest["eval"]["report"]["n_evaluated"] > 0
 
 
+def test_eval_manifest_scores_only_the_recorded_output(tmp_path, capsys):
+    """eval --manifest with a tensor other than the recorded recovered
+    output (here the truth) exits 3 and writes nothing."""
+    man = _recorded_run(tmp_path)
+    before = _files(tmp_path)
+    capsys.readouterr()
+    y, m = tmp_path / "y.tns", tmp_path / "m.msk"
+    assert run("eval", "--truth", y, "--recovered", y, "--mask", m,
+               "--manifest", man, "--json-out", tmp_path / "r.json",
+               "--csv-out", tmp_path / "r.csv") == 3
+    err = capsys.readouterr().err
+    assert "hash mismatch for recovered file" in err and "Traceback" not in err
+    assert _files(tmp_path) == before
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
 

@@ -278,6 +278,45 @@ def test_apply_shrinkage_matches_exact_svd(kind):
                 )
 
 
+# The kernel forms its output as one product, (U_r D U_r^T) A, when it
+# keeps r > n/2 of the n components, and as two, (U_r D) (U_r^T A),
+# otherwise.  TruncatedRule(0.0) keeps every nonzero component, so on a
+# full-rank input it takes the first; a threshold between singular values
+# n/2 and n/2 + 1, and above the kernel's noise floor, keeps at most n/2
+# and takes the second.  On a rank-deficient input the rank decides.
+PRODUCTS = ["one", "two"]
+
+
+def _product_rule(product, z):
+    if product == "one":
+        return TruncatedRule(0.0)
+    sigma = svd(z)[1]
+    half = len(sigma) // 2
+    return TruncatedRule(max(0.5 * float(sigma[half - 1] + sigma[half]),
+                             1e-6 * float(sigma[0])))
+
+
+def _assert_product(product, shrunk, deficient):
+    """The rule kept as many components as its product needs; on a
+    rank-deficient input only the two-product rule is sure to."""
+    if product == "two" or not deficient:
+        assert (2 * np.count_nonzero(shrunk) > len(shrunk)) == (product == "one")
+
+
+@pytest.mark.parametrize("product", PRODUCTS)
+def test_apply_shrinkage_matches_exact_svd_in_both_products(product):
+    for z, deficient in _kernel_inputs():
+        sigma = svd(z)[1]
+        rule = _product_rule(product, z)
+        out, shrunk = apply_shrinkage(z, rule)
+        ref, ref_shrunk = _exact_shrinkage(z, rule)
+        _assert_product(product, shrunk, deficient)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=KERNEL_ATOL * sigma[0])
+        sigma_atol = DEFICIENT_SIGMA_ATOL if deficient else KERNEL_ATOL
+        np.testing.assert_allclose(shrunk, ref_shrunk, rtol=0,
+                                   atol=sigma_atol * sigma[0])
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_apply_shrinkage_extreme_magnitudes_match_exact_svd(scale):
     """Squaring 1e+-200 would leave the floating-point range unscaled."""
@@ -348,39 +387,62 @@ def test_apply_shrinkage_numeric_errors(monkeypatch):
         apply_shrinkage(np.ones((3, 4)), rule)
 
 
+def _workspace_input(shape, order, deficient, scale=1.0):
+    rng = np.random.default_rng(14)
+    if deficient:
+        z = rng.normal(size=(shape[0], 2)) @ rng.normal(size=(2, shape[1]))
+    else:
+        z = rng.uniform(-1.0, 1.0, size=shape)
+    return np.asarray(scale * z, order=order)
+
+
+@pytest.mark.parametrize("product", PRODUCTS)
+@pytest.mark.parametrize("deficient", [False, True])
 @pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
+def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order, deficient,
+                                                       product):
     """A caller's workspace, larger than needed and holding stale values,
     changes no bit of the output: with or without it the kernel runs the
-    same code, and the output is a view of the workspace."""
-    z = np.asarray(np.random.default_rng(14).normal(size=shape), order=order)
-    rule = TruncatedRule(float(svd(z)[1][2]))  # keeps two components
+    same code, and the output is a view of the workspace, laid out as the
+    input is."""
+    z = _workspace_input(shape, order, deficient)
+    rule = _product_rule(product, z)
     work = (np.full(z.size + 7, np.nan), np.full(z.size + 7, np.nan))
     out, shrunk = apply_shrinkage(z, rule)
     out_w, shrunk_w = apply_shrinkage(z, rule, None, work)
-    assert 0 < np.count_nonzero(shrunk) < len(shrunk)
+    _assert_product(product, shrunk, deficient)
+    assert 0 < np.count_nonzero(shrunk)
     np.testing.assert_array_equal(out_w, out)
     np.testing.assert_array_equal(shrunk_w, shrunk)
-    assert np.shares_memory(out_w, work[1])
+    assert out_w.flags.c_contiguous == (order == "C")
+    assert out_w.flags.f_contiguous == (order == "F")
+    one = 2 * np.count_nonzero(shrunk) > 6
+    assert np.shares_memory(out_w, work[0] if one else work[1])
 
 
+@pytest.mark.parametrize("product", PRODUCTS)
+@pytest.mark.parametrize("deficient", [False, True])
 @pytest.mark.parametrize("peak", [1e-3, 1.0, 1e300])
 @pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_in_place_kernel_gives_the_bytes_of_the_public_path(shape, order, peak):
+def test_in_place_kernel_gives_the_bytes_of_the_public_path(shape, order, peak,
+                                                            deficient, product):
     """The two-buffer path of the solver loop: with z a view of work[1],
-    the kernel scales it in place, forms U_r^T A in work[0] and writes the
-    output, in the scale of z, over it."""
-    rng = np.random.default_rng(15)
-    z = np.asarray(peak * rng.uniform(-1.0, 1.0, size=shape), order=order)
-    rule = TruncatedRule(float(svd(z)[1][2]))  # keeps two components
+    the kernel scales it in place and writes the output, in the scale of
+    z, to work[0] when it is one product, and over z, with U_r^T A in
+    work[0], when it is two."""
+    z = _workspace_input(shape, order, deficient, peak)
+    rule = _product_rule(product, z)
     out, shrunk = apply_shrinkage(z, rule)
     a, o = np.full(z.size, np.nan), np.full(z.size, np.nan)
     view = a.reshape(shape, order=order)
     view[...] = z
     mat, shrunk_p = apply_shrinkage(view, rule, None, (o, a))
-    assert np.shares_memory(mat, a)
+    _assert_product(product, shrunk, deficient)
+    one = 2 * np.count_nonzero(shrunk) > 6
+    assert np.shares_memory(mat, o if one else a)
+    assert not np.shares_memory(mat, a if one else o)
     assert mat.tobytes() == out.tobytes()
     assert shrunk_p.tobytes() == shrunk.tobytes()
 

@@ -263,9 +263,42 @@ def test_max_iters_cap_reported_as_not_converged():
     assert not result.converged
 
 
-def _reference_run(y, mask, cfg):
+def _shrink_mode(z, k, rule, sigma_prev):
+    """The mode-k update of ``complete``: modes 0 and 2 shrink C-order views
+    of z, which are their unfoldings (mode 2's transposed) up to a
+    permutation of the columns, and mode 1 its unfolding."""
+    if k == 1:
+        mat, sig = apply_shrinkage(unfold(z, 1), rule, sigma_prev)
+        return fold(mat, 1, z.shape), sig
+    view = z.reshape(z.shape[0], -1) if k == 0 else z.reshape(-1, z.shape[2])
+    mat, sig = apply_shrinkage(view, rule, sigma_prev)
+    return mat.reshape(z.shape), sig
+
+
+def _two_product_shrinkage(z, rule, sigma_prev):
+    """The Gram-matrix kernel with its output always as (U_r D) (U_r^T A)."""
+    a = z.T if z.shape[0] > z.shape[1] else z
+    w, u = np.linalg.eigh(a @ a.T)
+    sigma = np.sqrt(np.maximum(w[::-1], 0.0))
+    shrunk = np.maximum(sigma - rule.thresholds(sigma, sigma_prev), 0.0)
+    keep = shrunk > 0.0
+    u = u[:, ::-1][:, keep]
+    out = (u * (shrunk[keep] / sigma[keep])) @ (u.T @ a)
+    return (out if a is z else out.T), shrunk
+
+
+def _unfolded_two_product_mode(z, k, rule, sigma_prev):
+    """The mode-k update with every mode on its unfolding and the output
+    as two products, the arithmetic before modes 0 and 2 took C-order
+    views and full-rank outputs became (U_r D U_r^T) A."""
+    mat, sig = _two_product_shrinkage(unfold(z, k), rule, sigma_prev)
+    return fold(mat, k, z.shape), sig
+
+
+def _reference_run(y, mask, cfg, shrink_mode=_shrink_mode):
     """Reference ADMM loop: the steps of the solvers module docstring with a
-    fresh array for every intermediate and one list entry per mode."""
+    fresh array for every intermediate and one list entry per mode, each
+    mode updated by ``shrink_mode(z, k, rule, sigma_prev)``."""
     dims = y.shape
     robust = cfg.method == "rtcpfnc"
     rho = cfg.rho
@@ -293,8 +326,7 @@ def _reference_run(y, mask, cfg):
             z = m - tk[k] / rho
             if robust:
                 z = z - ek[k]
-            mat, sig = apply_shrinkage(unfold(z, k), rules[k], sigma_prev[k])
-            lk[k] = fold(mat, k, dims)
+            lk[k], sig = shrink_mode(z, k, rules[k], sigma_prev[k])
             sigmas.append(sig)
         sigma_prev = sigmas
         recovered = WEIGHT * lk[0] + WEIGHT * lk[1] + WEIGHT * lk[2]
@@ -354,12 +386,39 @@ def _assert_matches_reference(y, mask, cfg):
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("dims", [(9, 8, 7), (20, 3, 2)])  # mode 0 of 20x6 is tall
+# the unfoldings 20x6 of mode 0 and of mode 1 are tall, and so are the
+# C-order views of mode 2 but for 2x3x20, where it is 6x20
+@pytest.mark.parametrize("dims", [(9, 8, 7), (20, 3, 2), (3, 20, 2), (2, 3, 20)])
 def test_in_place_loop_is_bit_identical_to_reference(method, dims):
     y, mask = _outlier_instance(19, dims)
     cfg = SolverConfig(method, rho=1e-3, lam=1e-2, truncation_rate=0.3,
                        tol=1e-30, max_iters=25)
     _assert_matches_reference(y, mask, cfg)
+
+
+# The instances of the reference-loop tests, with their sparsity weights.
+REFERENCE_INSTANCES = [(19, (9, 8, 7), 1e-2), (19, (20, 3, 2), 1e-2),
+                       (24, (40, 30, 20), 1e-4)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("seed, dims, lam", REFERENCE_INSTANCES)
+def test_complete_agrees_with_the_unfolded_two_product_loop(method, seed, dims, lam):
+    """The C-order views of modes 0 and 2 and the one-product output at
+    full rank change rounding only: over 25 iterations ``complete`` stays
+    within 1e-9 * max|X| of the loop that unfolds every mode and always
+    forms the output as two products."""
+    y, mask = _outlier_instance(seed, dims)
+    cfg = SolverConfig(method, rho=1e-3, lam=lam, truncation_rate=0.3,
+                       tol=1e-30, max_iters=25)
+    result = complete(y * mask, mask, cfg)
+    recovered, anomaly, *_ = _reference_run(y * mask, mask, cfg,
+                                            _unfolded_two_product_mode)
+    pairs = [(result.recovered, recovered)]
+    if method == "rtcpfnc":
+        pairs.append((result.anomaly, anomaly))
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_in_place_loop_matches_reference_when_stopping_on_tol():
