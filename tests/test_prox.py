@@ -396,55 +396,55 @@ def _workspace_input(shape, order, deficient, scale=1.0):
     return np.asarray(scale * z, order=order)
 
 
-@pytest.mark.parametrize("product", PRODUCTS)
-@pytest.mark.parametrize("deficient", [False, True])
 @pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order, deficient,
-                                                       product):
+def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
     """A caller's workspace, larger than needed and holding stale values,
     changes no bit of the output: with or without it the kernel runs the
     same code, and the output is a view of the workspace, laid out as the
-    input is."""
-    z = _workspace_input(shape, order, deficient)
-    rule = _product_rule(product, z)
-    work = (np.full(z.size + 7, np.nan), np.full(z.size + 7, np.nan))
-    out, shrunk = apply_shrinkage(z, rule)
-    out_w, shrunk_w = apply_shrinkage(z, rule, None, work)
-    _assert_product(product, shrunk, deficient)
-    assert 0 < np.count_nonzero(shrunk)
-    np.testing.assert_array_equal(out_w, out)
-    np.testing.assert_array_equal(shrunk_w, shrunk)
-    assert out_w.flags.c_contiguous == (order == "C")
-    assert out_w.flags.f_contiguous == (order == "F")
-    one = 2 * np.count_nonzero(shrunk) > 6
-    assert np.shares_memory(out_w, work[0] if one else work[1])
+    input is.  Each case runs both products on a full-rank and a
+    rank-deficient input."""
+    for deficient in (False, True):
+        for product in PRODUCTS:
+            z = _workspace_input(shape, order, deficient)
+            rule = _product_rule(product, z)
+            work = (np.full(z.size + 7, np.nan), np.full(z.size + 7, np.nan))
+            out, shrunk = apply_shrinkage(z, rule)
+            out_w, shrunk_w = apply_shrinkage(z, rule, None, work)
+            _assert_product(product, shrunk, deficient)
+            assert 0 < np.count_nonzero(shrunk)
+            np.testing.assert_array_equal(out_w, out)
+            np.testing.assert_array_equal(shrunk_w, shrunk)
+            assert out_w.flags.c_contiguous == (order == "C")
+            assert out_w.flags.f_contiguous == (order == "F")
+            one = 2 * np.count_nonzero(shrunk) > 6
+            assert np.shares_memory(out_w, work[0] if one else work[1])
 
 
-@pytest.mark.parametrize("product", PRODUCTS)
-@pytest.mark.parametrize("deficient", [False, True])
 @pytest.mark.parametrize("peak", [1e-3, 1.0, 1e300])
 @pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_in_place_kernel_gives_the_bytes_of_the_public_path(shape, order, peak,
-                                                            deficient, product):
+def test_in_place_kernel_gives_the_bytes_of_the_public_path(shape, order, peak):
     """The two-buffer path of the solver loop: with z a view of work[1],
     the kernel scales it in place and writes the output, in the scale of
     z, to work[0] when it is one product, and over z, with U_r^T A in
-    work[0], when it is two."""
-    z = _workspace_input(shape, order, deficient, peak)
-    rule = _product_rule(product, z)
-    out, shrunk = apply_shrinkage(z, rule)
-    a, o = np.full(z.size, np.nan), np.full(z.size, np.nan)
-    view = a.reshape(shape, order=order)
-    view[...] = z
-    mat, shrunk_p = apply_shrinkage(view, rule, None, (o, a))
-    _assert_product(product, shrunk, deficient)
-    one = 2 * np.count_nonzero(shrunk) > 6
-    assert np.shares_memory(mat, o if one else a)
-    assert not np.shares_memory(mat, a if one else o)
-    assert mat.tobytes() == out.tobytes()
-    assert shrunk_p.tobytes() == shrunk.tobytes()
+    work[0], when it is two.  Each case runs both products on a full-rank
+    and a rank-deficient input."""
+    for deficient in (False, True):
+        for product in PRODUCTS:
+            z = _workspace_input(shape, order, deficient, peak)
+            rule = _product_rule(product, z)
+            out, shrunk = apply_shrinkage(z, rule)
+            a, o = np.full(z.size, np.nan), np.full(z.size, np.nan)
+            view = a.reshape(shape, order=order)
+            view[...] = z
+            mat, shrunk_p = apply_shrinkage(view, rule, None, (o, a))
+            _assert_product(product, shrunk, deficient)
+            one = 2 * np.count_nonzero(shrunk) > 6
+            assert np.shares_memory(mat, o if one else a)
+            assert not np.shares_memory(mat, a if one else o)
+            assert mat.tobytes() == out.tobytes()
+            assert shrunk_p.tobytes() == shrunk.tobytes()
 
 
 @pytest.mark.parametrize("tall", [False, True])
