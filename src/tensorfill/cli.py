@@ -47,7 +47,9 @@ role ``complete`` writes for the method.  ``eval --manifest`` also exits
 output the manifest records, by its sha256.
 
 Exit codes: 0 success, 2 usage error, 3 input/format error, 4 numeric
-error.  A failed rerun comparison exits 1.
+error.  A failed rerun comparison exits 1.  Running out of memory, as
+``synth`` does at dims whose tensor numpy cannot allocate, exits 3 with
+one ``error:`` line and nothing written.
 """
 
 from __future__ import annotations
@@ -567,13 +569,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TensorfillError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    # a MemoryError, as numpy raises for an array it cannot allocate, is
+    # reported as an input error: the input asked for too much
+    except (TensorfillError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return getattr(exc, "exit_code", InputError.exit_code)
 
 
 if __name__ == "__main__":

@@ -45,6 +45,17 @@ def test_synth_into_missing_directory_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "nodir").exists()
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, capsys):
+    """numpy refuses the 7.1 PiB tensor before it touches any memory."""
+    out = tmp_path / "x.tns"
+    assert run("synth", "--dims", "100000,100000,100000", "--rank", "1",
+               "-o", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_invalid_rank_is_usage_error(tmp_path):
     assert run("synth", "--dims", "4,4,4", "--rank", "99", "-o", tmp_path / "x.tns") == 2
 

@@ -295,10 +295,29 @@ def _unfolded_two_product_mode(z, k, rule, sigma_prev):
     return fold(mat, k, z.shape), sig
 
 
-def _reference_run(y, mask, cfg, shrink_mode=_shrink_mode):
+def _clip_step(m, lk, tk, rho, lam):
+    """The robust step 3 of ``complete``, in its order: T_k + rho (L_k - M)
+    clipped to [-lam, lam] is the new T_k, and E_k is what the clip
+    removed, over rho.  Returns the new E_k and T_k."""
+    props = [(lk[k] - m) * rho + tk[k] for k in range(3)]
+    tk = [np.clip(prop, -lam, lam) for prop in props]
+    return [(t - prop) / rho for t, prop in zip(tk, props)], tk
+
+
+def _soft_threshold_step(m, lk, tk, rho, lam):
+    """The robust step 3 as the paper writes it, and as the loop ran it
+    before it became one clip: E_k = soft_threshold(M - L_k - T_k/rho,
+    lam/rho) with the iteration-start T_k, then T_k + rho (L_k + E_k - M)."""
+    ek = [soft_threshold(m - lk[k] - tk[k] / rho, lam / rho) for k in range(3)]
+    return ek, [tk[k] + rho * ((lk[k] - m) + ek[k]) for k in range(3)]
+
+
+def _reference_run(y, mask, cfg, shrink_mode=_shrink_mode,
+                   robust_step=_clip_step):
     """Reference ADMM loop: the steps of the solvers module docstring with a
     fresh array for every intermediate and one list entry per mode, each
-    mode updated by ``shrink_mode(z, k, rule, sigma_prev)``."""
+    mode updated by ``shrink_mode(z, k, rule, sigma_prev)`` and, robust
+    only, E_k and T_k by ``robust_step(m, lk, tk, rho, lam)``."""
     dims = y.shape
     robust = cfg.method == "rtcpfnc"
     rho = cfg.rho
@@ -336,12 +355,9 @@ def _reference_run(y, mask, cfg, shrink_mode=_shrink_mode):
         m_pre = m_pre + (tk[0] + tk[1] + tk[2]) / (3.0 * rho)
         m = apply_constraint(m_pre, y_obs, mask)
         if robust:
-            ek = [soft_threshold(m - lk[k] - tk[k] / rho, lam / rho) for k in range(3)]
-        for k in range(3):
-            residual = lk[k] - m
-            if robust:
-                residual = residual + ek[k]
-            tk[k] = tk[k] + rho * residual
+            ek, tk = robust_step(m, lk, tk, rho, lam)
+        else:
+            tk = [tk[k] + rho * (lk[k] - m) for k in range(3)]
         obj = 0.0
         for k, s in enumerate(sigmas):
             if cfg.method in ("tcpfnc", "rtcpfnc"):
@@ -404,21 +420,36 @@ REFERENCE_INSTANCES = [(19, (9, 8, 7), 1e-2), (19, (20, 3, 2), 1e-2),
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("seed, dims, lam", REFERENCE_INSTANCES)
 def test_complete_agrees_with_the_unfolded_two_product_loop(method, seed, dims, lam):
-    """The C-order views of modes 0 and 2 and the one-product output at
-    full rank change rounding only: over 25 iterations ``complete`` stays
-    within 1e-9 * max|X| of the loop that unfolds every mode and always
-    forms the output as two products."""
+    """The C-order views of modes 0 and 2, the one-product output at full
+    rank and the robust step as one clip change rounding only: over 25
+    iterations ``complete`` stays within 1e-9 * max|X| of the loop that
+    unfolds every mode, always forms the output as two products and runs
+    the robust step as soft threshold and multiplier update."""
     y, mask = _outlier_instance(seed, dims)
     cfg = SolverConfig(method, rho=1e-3, lam=lam, truncation_rate=0.3,
                        tol=1e-30, max_iters=25)
     result = complete(y * mask, mask, cfg)
     recovered, anomaly, *_ = _reference_run(y * mask, mask, cfg,
-                                            _unfolded_two_product_mode)
+                                            _unfolded_two_product_mode,
+                                            _soft_threshold_step)
     pairs = [(result.recovered, recovered)]
     if method == "rtcpfnc":
         pairs.append((result.anomaly, anomaly))
     for got, want in pairs:
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("rho, lam", [(1e-3, 1e-2), (1e-3, 5e-3), (5e-6, 1.5e-4)])
+def test_robust_multipliers_stay_within_lambda(rho, lam):
+    """Every multiplier is clipped to [-lam, lam], so max|T_k| <= lam holds
+    exactly after every iteration; written as soft threshold and
+    multiplier update, the step left some a few ulp above lam."""
+    for seed in range(20):
+        y, mask = _outlier_instance(seed, (9, 8, 7))
+        _, states = _collect(y, mask, SolverConfig("rtcpfnc", rho=rho, lam=lam), 30)
+        for state in states:
+            for t in state.tk:
+                assert np.max(np.abs(t)) <= lam
 
 
 def test_in_place_loop_matches_reference_when_stopping_on_tol():
