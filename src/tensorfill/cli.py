@@ -372,13 +372,15 @@ def cmd_complete(args):
         "wall_clock_sec": wall,
         "iterations": result.iterations,
         "converged": result.converged,
+        "ranks": list(result.ranks),
         "eval": None,
         "csv_row": None,
     }
     _write_json(args.manifest, manifest)
     print(
         f"complete: method={cfg.method} iterations={result.iterations}"
-        f" converged={result.converged} wall={wall:.2f}s -> {args.out}"
+        f" converged={result.converged}"
+        f" ranks={','.join(map(str, result.ranks))} wall={wall:.2f}s -> {args.out}"
     )
     return 0
 

@@ -111,26 +111,31 @@ def ingest_csv(path, dims):
     """Parse an n1-row, (n2*n3)-column CSV into a tensor and observation mask.
 
     Column j (0-based) of row i1 maps to entry (i1, j % n2, j // n2), so the
-    mode-0 unfolding of the result equals the CSV grid.  Blank cells become
+    mode-0 unfolding of the result equals the CSV grid.  Every line is a
+    row, and an empty line is one blank cell.  Blank cells become
     unobserved: mask False and value 0.  A leading UTF-8 byte-order mark,
     as spreadsheet exports often write, is skipped.  Raises UsageError
     unless ``dims`` passes :func:`tensor.check_dims`, and InputError on a
     file that is not UTF-8 CSV, on a row count or row width that does not
-    match ``dims`` (both checked before the tensor is allocated), and on
-    non-numeric cells, reporting the 1-based row and column.
+    match ``dims`` (both checked before the tensor is allocated; a wrong
+    row count names the first empty line, which an empty line in a wider
+    grid adds), and on non-numeric cells, reporting the 1-based row and
+    column.
     """
     n1, n2, n3 = check_dims(dims)
     ncols = n2 * n3
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [r for r in csv.reader(fh) if r]
+            rows = [r or [""] for r in csv.reader(fh)]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path} is not a UTF-8 CSV file: {exc}") from exc
     # check the shape against the rows read before allocating it
     if len(rows) != n1:
-        raise InputError(f"{path}: expected {n1} rows, found {len(rows)}")
+        empty = next((i + 1 for i, r in enumerate(rows) if r == [""]), None)
+        raise InputError(f"{path}: expected {n1} rows, found {len(rows)}"
+                         + (f" (row {empty} is empty)" if empty else ""))
     for i, row in enumerate(rows):
         if len(row) != ncols:
             raise InputError(

@@ -151,14 +151,15 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None):
 
     ``work`` is a pair of flat float64 arrays of at least ``z.size``
     entries each; without it the kernel allocates the pair itself.  The
-    second holds the scaled A.  The output goes to the buffer that does not
-    hold A when 2 r > n, and over A, once ``U_r^T A`` is formed in the
-    first buffer, otherwise; the returned matrix is a view of that buffer,
-    laid out as A is, so a C-ordered ``z`` gives a C-ordered output
-    whether or not it is transposed.  ``z`` either shares no memory with
-    ``work`` or is ``work[1][:z.size]`` reshaped to its shape in C or
-    Fortran order; then A is scaled in place, which is how
-    ``solvers.complete`` runs a mode update in two buffers.
+    second holds the scaled A.  The output always lands in the first,
+    laid out as A is, and the returned matrix is a view of it, so a
+    C-ordered ``z`` gives a C-ordered output whether or not it is
+    transposed.  One product is formed there directly; for two, ``U_r^T
+    A`` is formed there, the output over A, which is not read again, and
+    one contiguous copy moves it into the first buffer.  ``z`` either
+    shares no memory with ``work`` or is ``work[1][:z.size]`` reshaped to
+    its shape in C or Fortran order; then A is scaled in place, which is
+    how ``solvers.complete`` runs a mode update in two buffers.
 
     Raises NumericError on non-finite input or eigensolver non-convergence.
     """
@@ -189,15 +190,14 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None):
     n, r = u.shape
     # 2**e on the left factor undoes the scaling of a
     left = np.ldexp(u * (shrunk[keep] / sigma[keep]), exponent)
+    mat = work[0][: a.size].reshape(a.shape, order=order)
     if 2 * r > n:
-        mat = np.matmul(left @ u.T, a, out=work[0][: a.size].reshape(
-            a.shape, order=order))
+        np.matmul(left @ u.T, a, out=mat)
     else:
         rows = np.matmul(u.T, a, out=work[0][: r * a.shape[1]].reshape(
             r, a.shape[1]))
-        # a is not read again, so the output may take its memory
-        mat = np.matmul(left, rows, out=work[1][: a.size].reshape(
-            a.shape, order=order))
+        # a is not read again, so the product may take its memory
+        np.copyto(mat, np.matmul(left, rows, out=a))
     return (mat.T if tall else mat), shrunk
 
 

@@ -44,19 +44,14 @@ the slot of ``L_k`` while mode k updates: the previous ``L_k`` was last
 read by the previous iteration's elementwise steps and the hook, and the
 new one is written only once the kernel is done.
 
-* modes 0 and 2: ``z`` is built in blocks in ``A``, in C order, and the
-  kernel's input is a C-order view of ``A``, so neither the input nor the
-  output is copied across layouts.  ``L_k``'s slot is the kernel's first
-  buffer: the output is formed there when the kernel keeps more than half
-  of the components, and otherwise ``U_r^T A`` is formed there and the
-  output over ``A``, from which one contiguous copy moves it to ``L_k``.
-* mode 1: ``z`` is built in blocks in ``L_1``'s slot, and ``A`` holds the
-  mode-1 unfolding in Fortran order, filled from ``z`` with
-  ``np.copyto`` through a fold view made once.  The kernel scales it in
-  place and forms its output over it or in ``L_1``'s slot; an output in
-  the slot is first copied, contiguously, into ``A`` (folding it onto
-  itself would make numpy copy it whole), and the output in ``A`` is
-  copied into ``L_1`` through the fold view.
+Every mode builds ``z`` in blocks in ``A``, in C order, and the kernel
+always leaves its output in its first buffer, laid out as its input
+(:func:`prox.apply_shrinkage`).  Modes 0 and 2 shrink C-order views of
+``A`` with ``L_k``'s slot as the first buffer, so their output lands in
+``L_k`` with no copy in the loop.  Mode 1 copies ``A`` into its
+Fortran-order unfolding in ``L_1``'s slot and shrinks that with ``A`` as
+the first buffer; one copy moves the output into ``L_1``.  Both copies go
+through fold views made once.
 
 After the three kernels ``A`` holds ``M`` before the constraint, and
 then, robust only, the scratch of ``sum |E_k|``.
@@ -189,13 +184,16 @@ class SolverState:
 @dataclass(frozen=True)
 class SolverResult:
     """Completion output: ``recovered`` is L = sum_k WEIGHT L_k; ``anomaly``
-    is mean_k(E_k) for the robust method, None otherwise."""
+    is mean_k(E_k) for the robust method, None otherwise; ``ranks`` holds,
+    per mode, the number of nonzero values of the last shrunk spectrum, so
+    a solve that zeroes every value reports ranks (0, 0, 0)."""
 
     recovered: np.ndarray
     anomaly: np.ndarray
     iterations: int
     converged: bool
     objective_history: tuple
+    ranks: tuple
 
 
 def check_convergence(history, tol):
@@ -272,14 +270,18 @@ def complete(y, mask, cfg, iter_hook=None):
                   for x in (lk, tk, ek)))
 
     blocks = [block_views(i) for i in starts]
-    # the kernel's inputs, views of its second buffer A: modes 0 and 2
-    # shrink C-order views, in the tensor's own layout (mode 2 as the
-    # transpose of its unfolding), and mode 1 its Fortran-order unfolding,
-    # filled from L_1's slot through the fold view made here
-    inputs = [a.reshape(dims[0], -1), a.reshape((dims[1], size // dims[1]),
-                                                 order="F"),
+    # the kernel's inputs and buffer pairs: modes 0 and 2 shrink C-order
+    # views of A, in the tensor's own layout (mode 2 as the transpose of
+    # its unfolding), with their output in L_k's slot; mode 1 shrinks its
+    # Fortran-order unfolding in L_1's slot, filled from A, with its output
+    # in A, and both copies go through the fold views made here
+    slot1 = lk[1].reshape(-1)
+    inputs = [a.reshape(dims[0], -1),
+              slot1.reshape((dims[1], size // dims[1]), order="F"),
               a.reshape(-1, dims[2])]
-    unfolded = fold(inputs[1], 1, dims)
+    works = [(lk[0].reshape(-1), a), (a, slot1), (lk[2].reshape(-1), a)]
+    into_slot1 = fold(inputs[1], 1, dims)
+    from_a = fold(a.reshape((dims[1], size // dims[1]), order="F"), 1, dims)
 
     def elementwise_steps(p, mb, hb, ob, t, lb, tb, eb):
         """Consensus, constraint and multiplier steps on one block, with the
@@ -321,27 +323,19 @@ def complete(y, mask, cfg, iter_hook=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
             for k in range(3):
-                # L_k is dead until its new value is written, so z is
-                # built in blocks in A, or in L_1's slot for mode 1
-                for p, mb, _, _, _, lb, tb, eb in blocks:
-                    zb = lb[1] if k == 1 else p
-                    np.divide(tb[k], rho, out=zb)
-                    np.subtract(mb, zb, out=zb)
+                # z is built in blocks in A; L_k is dead until its new
+                # value is written, so its slot is the kernel's other buffer
+                for p, mb, _, _, _, _, tb, eb in blocks:
+                    np.divide(tb[k], rho, out=p)
+                    np.subtract(mb, p, out=p)
                     if robust:
-                        zb -= eb[k]
+                        p -= eb[k]
                 if k == 1:
-                    np.copyto(unfolded, lk[1])
-                mat, sigmas[k] = apply_shrinkage(
-                    inputs[k], rules[k], sigmas[k], (lk[k].reshape(-1), a))
-                over_a = np.may_share_memory(mat, a)
+                    np.copyto(into_slot1, a.reshape(dims))
+                _, sigmas[k] = apply_shrinkage(inputs[k], rules[k], sigmas[k],
+                                               works[k])
                 if k == 1:
-                    # an output in L_1's slot goes through A: folding it
-                    # onto itself would copy it whole
-                    if not over_a:
-                        np.copyto(inputs[1], mat)
-                    np.copyto(lk[1], unfolded)
-                elif over_a:
-                    np.copyto(lk[k], mat.reshape(dims))
+                    np.copyto(lk[1], from_a)
             for block in blocks:
                 elementwise_steps(*block)
 
@@ -391,6 +385,7 @@ def complete(y, mask, cfg, iter_hook=None):
         iterations=len(history),
         converged=check_convergence(history, cfg.tol),
         objective_history=tuple(history),
+        ranks=tuple(int(np.count_nonzero(s)) for s in sigmas),
     )
 
 

@@ -1,8 +1,11 @@
 """CLI tests: subcommand contracts, manifests, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -213,6 +216,25 @@ def test_complete_robust_emits_anomaly_file(tmp_path):
     anomaly = tmp_path / "rec.anomaly.tns"
     assert anomaly.exists()
     assert read_tensor(anomaly).shape == (8, 7, 6)
+
+
+def test_complete_reports_the_final_rank_of_each_mode(tmp_path, capsys):
+    """At the default rho the nuclear threshold WEIGHT / rho zeroes every
+    singular value of this tensor, so the solve stops at once with an
+    all-zero output; the ranks on the complete line and in the manifest
+    say so next to converged=True."""
+    y, m = tmp_path / "y.tns", tmp_path / "m.msk"
+    run("synth", "--dims", "12,10,8", "--rank", "2", "--noise", "0.5",
+        "--seed", "0", "-o", y)
+    run("mask", "--dims", "12,10,8", "--pattern", "rm", "--rate", "0.3",
+        "--seed", "1", "-o", m)
+    rec, man = tmp_path / "rec.tns", tmp_path / "man.json"
+    capsys.readouterr()
+    assert run("complete", "--tensor", y, "--mask", m, "--method", "halrtc",
+               "-o", rec, "--manifest", man) == 0
+    assert "iterations=2 converged=True ranks=0,0,0 " in capsys.readouterr().out
+    assert json.loads(man.read_text())["ranks"] == [0, 0, 0]
+    assert not np.any(read_tensor(rec))
 
 
 def test_complete_frees_the_input_tensor_during_the_solve(tmp_path):
@@ -484,14 +506,24 @@ FLOAT_MASK_RUNS = Path(__file__).parent / "data" / "float_mask_runs"
 
 
 @pytest.mark.parametrize("manifest", ["robust.json", "plain.json"])
-def test_rerun_replays_a_run_recorded_with_float_masks(tmp_path, monkeypatch,
-                                                        capsys, manifest):
+def test_rerun_replays_a_run_recorded_with_float_masks(tmp_path, manifest):
     """The recovered and anomaly tensors and the CSV row of a run recorded
-    before masks became bool replay bit for bit."""
+    before masks became bool replay bit for bit.  The outputs were recorded
+    under OpenBLAS's Haswell kernels, which every x86-64 host with AVX2 can
+    run, whatever kernel it would pick itself; the rerun runs under them in
+    a process of its own."""
     shutil.copytree(FLOAT_MASK_RUNS, tmp_path / "runs")
-    monkeypatch.chdir(tmp_path / "runs")
-    assert run("rerun", "--manifest", manifest, "--workdir", tmp_path / "w") == 0
-    assert capsys.readouterr().out.endswith("rerun: identical\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "tensorfill.cli", "rerun", "--manifest",
+         manifest, "--workdir", str(tmp_path / "w")],
+        cwd=tmp_path / "runs", env=env, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith("rerun: identical\n")
 
 
 def test_mask_and_corrupt_write_the_recorded_bytes(tmp_path, monkeypatch):
@@ -563,6 +595,16 @@ def test_rerun_replays_a_manifest_recording_threads(tmp_path, capsys):
     whose results were those of the serial loop: rerun ignores it."""
     def edit(manifest):
         manifest["config"]["threads"] = 3
+
+    assert _rerun_edited(tmp_path, edit) == 0
+    assert "rerun: identical" in capsys.readouterr().out
+
+
+def test_rerun_replays_a_manifest_without_ranks(tmp_path, capsys):
+    """Manifests written before complete recorded the ranks lack the key;
+    rerun does not need it."""
+    def edit(manifest):
+        del manifest["ranks"]
 
     assert _rerun_edited(tmp_path, edit) == 0
     assert "rerun: identical" in capsys.readouterr().out

@@ -221,6 +221,23 @@ def test_ingest_blank_cell_becomes_missing(tmp_path):
     assert mask.sum() == 7
 
 
+def test_ingest_reads_an_empty_line_as_one_blank_cell(tmp_path):
+    """In a one-column grid an empty line is a missing value, not a line to
+    skip."""
+    path = tmp_path / "d.csv"
+    path.write_text("1\n\n3\n")
+    tensor, mask = ingest_csv(path, (3, 1, 1))
+    np.testing.assert_array_equal(tensor.ravel(), [1.0, 0.0, 3.0])
+    np.testing.assert_array_equal(mask.ravel(), [True, False, True])
+
+
+def test_ingest_rejects_an_empty_line_in_a_wider_grid(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("1,2\n\n3,4\n")
+    with pytest.raises(InputError, match=r"expected 2 rows, found 3 \(row 2 is empty\)"):
+        ingest_csv(path, (2, 2, 1))
+
+
 def test_ingest_skips_a_utf8_byte_order_mark(tmp_path):
     """Spreadsheet exports often start with a byte-order mark; it is not
     part of the first cell."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorfill import solvers
 from tensorfill.datagen import SyntheticSpec, rm_mask, synthesize
 from tensorfill.errors import InputError, NumericError, UsageError
 from tensorfill.metrics import evaluate
@@ -261,6 +262,27 @@ def test_max_iters_cap_reported_as_not_converged():
     result = complete(y * mask, mask, SolverConfig("tcpfnc", rho=1e-3, max_iters=3, tol=1e-30))
     assert result.iterations == 3
     assert not result.converged
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_ranks_are_the_last_shrunk_spectra(monkeypatch, method):
+    """``ranks`` counts the nonzero values of the spectrum each mode's last
+    shrink returned, read off the state the loop keeps."""
+    counts = []
+
+    def counting(z, rule, sigma_prev=None, work=None):
+        mat, shrunk = apply_shrinkage(z, rule, sigma_prev, work)
+        counts.append(np.count_nonzero(shrunk))
+        return mat, shrunk
+
+    monkeypatch.setattr(solvers, "apply_shrinkage", counting)
+    y, mask = _instance(21, dims=(9, 8, 7))
+    result = complete(y * mask, mask, SolverConfig(
+        method, rho=1e-3, lam=1e-2, truncation_rate=0.3, tol=1e-30, max_iters=12))
+    assert len(counts) == 3 * result.iterations
+    assert result.ranks == tuple(counts[-3:])
+    assert all(type(r) is int for r in result.ranks)
+    assert 0 < min(result.ranks)
 
 
 def _shrink_mode(z, k, rule, sigma_prev):
