@@ -3,22 +3,23 @@
 All four methods share one scaffolding.  Per iteration, with shared penalty
 parameter rho and the three modes weighted equally, by :data:`WEIGHT`:
 
-1. ``L_k <- fold_k(shrink(unfold_k(M - [E_k] - T_k/rho)))`` for each mode k,
-   where the shrinkage rule is what distinguishes the methods.  :data:`RULES`
-   is the one table that maps a method to its rule: the log rule
-   (``tcpfnc``, ``rtcpfnc``), the nuclear norm (``halrtc``) or the truncated
-   nuclear norm (``tnn``).  Each shrink works from the eigendecomposition of
-   the Gram matrix of the unfolding's smaller side
-   (:func:`prox.apply_shrinkage`), not a full SVD.  Modes 0 and 2 shrink
-   the C-order matrices ``z.reshape(n1, -1)`` and ``z.reshape(-1, n3)``
-   instead of their unfoldings: these are the mode-0 unfolding and the
+1. ``L_k <- fold_k(shrink(unfold_k(M - U_k/rho)))`` for each mode k, where
+   ``U_k = T_k + rho E_k`` with the robust method's anomaly term ``E_k`` (so
+   ``U_k = T_k`` in the other methods) and the shrinkage rule is what
+   distinguishes the methods.  :data:`RULES` is the one table that maps a
+   method to its rule: the log rule (``tcpfnc``, ``rtcpfnc``), the nuclear
+   norm (``halrtc``) or the truncated nuclear norm (``tnn``).  Each shrink
+   works from the eigendecomposition of the Gram matrix of the unfolding's
+   smaller side (:func:`prox.apply_shrinkage`), not a full SVD.  Modes 0 and
+   2 shrink the C-order matrices ``z.reshape(n1, -1)`` and ``z.reshape(-1,
+   n3)`` instead of their unfoldings: these are the mode-0 unfolding and the
    transpose of the mode-2 one up to a permutation of their columns, which
    leaves the shrinkage unchanged.
-2. ``M <- mean_k(L_k [+ E_k] + T_k/rho)``, then observed entries are reset
+2. ``M <- mean_k(L_k) + mean_k(U_k)/rho``, then observed entries are reset
    to the data: ``P_omega(M) = P_omega(Y)`` holds after every iteration.
-3. ``T_k <- T_k + rho (L_k - M)``, and for the robust method
-   ``T_k <- clip(T_k + rho (L_k - M), -lambda, lambda)`` and ``E_k <-
-   (T_k - (T_k^old + rho (L_k - M))) / rho``, what the clip removed.  This
+3. ``T_k <- T_k + rho (L_k - M)``, and for the robust method, with ``v =
+   T_k + rho (L_k - M)``, ``T_k <- clip(v, -lambda, lambda)`` and ``U_k <-
+   (T_k - v) + T_k``: ``rho E_k = T_k - v`` is what the clip removed.  This
    is the paper's anomaly step ``E_k <- soft_threshold(M - L_k -
    T_k^old/rho, lambda/rho)`` followed by ``T_k <- T_k^old + rho (L_k +
    E_k - M)``: by the Moreau decomposition ``soft_kappa(v) = v -
@@ -30,12 +31,15 @@ Iteration stops when the relative change of the objective drops below
 ``tol``, or at ``max_iters``.  The objective is ``sum_k WEIGHT *
 penalty_k(sigma_k)``, with ``penalty_k`` the rule's penalty and ``sigma_k``
 the shrunk spectrum the kernel returned for mode k, plus
-``lambda * sum_k ||E_k||_1`` for the robust solver.  The recovered output
-``L = sum_k WEIGHT L_k`` is formed once, after the last iteration.
+``lambda * sum_k ||E_k||_1`` for the robust solver.  ``E_k = (U_k - T_k)
+/ rho`` is formed only where it is read: this term, the hook's
+:class:`SolverState` and the ``anomaly`` output.  The recovered output ``L
+= sum_k WEIGHT L_k`` is formed once, after the last iteration.
 
-The loop keeps ``L_k``, ``T_k`` and ``E_k`` as one ``(3, n1, n2, n3)``
-array each, ``M`` as a C-ordered tensor and the hidden and observed
-entries as bool tensors, and after set-up it allocates nothing
+The loop keeps ``L_k``, ``T_k`` and ``U_k`` as one ``(3, n1, n2, n3)``
+array each (``U_k`` is a stack of its own for ``rtcpfnc`` and the ``T_k``
+array itself otherwise), ``M`` as a C-ordered tensor and the hidden and
+observed entries as bool tensors, and after set-up it allocates nothing
 tensor-sized.  ``P_omega(Y)`` is not stored: ``M`` starts as it and keeps
 it on the observed entries, so the constraint is ``p * hidden + M *
 observed``.  The loop owns one workspace, a flat buffer ``A`` of
@@ -54,36 +58,33 @@ the first buffer; one copy moves the output into ``L_1``.  Both copies go
 through fold views made once.
 
 After the three kernels ``A`` holds ``M`` before the constraint, and
-then, robust only, the scratch of ``sum |E_k|``.
+then, robust only, each ``E_k`` in turn for ``sum |E_k|``.
 
 So the working set is 7.25 tensors of state (``M``, the three ``L_k`` and
 ``T_k``, and ``hidden`` and ``observed``, C-ordered bool tensors at one
 byte an entry made from the caller's bool mask, as
 :func:`tensor.check_mask` returns it) plus 1 of workspace, and 3 more for
-``E_k`` in the robust method: at 120x96x60 the traced peak is 8.35
+``U_k`` in the robust method: at 120x96x60 the traced peak is 8.35
 tensors for ``halrtc`` and ``tcpfnc`` and 11.36 for ``rtcpfnc``.  The
 caller's ``y`` is not read once ``M`` is formed, and ``complete`` keeps no
 reference to it after that.  The elementwise steps (consensus,
 constraint, and the multiplier update with the robust method's clip)
-run fused over flat C-order views in blocks of
-:data:`BLOCK` entries, so the operands of one block stay in L2.
+run fused over flat C-order views in blocks of :data:`BLOCK` entries, so
+the operands of one block stay in L2.
 ``recovered`` is formed in ``A`` after the loop and ``anomaly`` in
-``M``'s buffer, so neither is a view of the ``(3, n1, n2, n3)`` stacks.
+``M``'s buffer, from the ``E_k`` formed in ``U_k``'s slots, so neither is
+a view of the ``(3, n1, n2, n3)`` stacks.
 
 Building mode 1's ``z`` directly in its strided unfolding view instead of
 copying it there was slower (about 9% per iteration at 120x96x60 and 5%
 at 30x24x14), and so was scaling during that copy with ``np.ldexp`` (a
 strided ``ldexp`` took nearly twice as long as ``np.copyto`` and an
 in-place pass together).  For the same reason the kernel undoes the
-scaling on a small factor rather than during a copy.  Against the loop
-before this layout, which unfolded every mode and formed every output as
-``(U_r D) (U_r^T A)``, seeded solves differ by rounding, about 1e-15
-relative per iteration; the desk ``tcpfnc`` stops of the criterion-4
-protocol are rounding-sensitive, so some of them moved (see the README).
+scaling on a small factor rather than during a copy.
 
 The arithmetic and its order are those of a loop that allocates a fresh
-array for every intermediate (``z = (M - T_k/rho) - E_k``, the sums
-``(X_0 + X_1) + X_2``, the constraint as the two products and the sum of
+array for every intermediate (``z = M - U_k/rho``, the sums ``(X_0 +
+X_1) + X_2``, the constraint as the two products and the sum of
 :func:`tensor.apply_constraint`), every reduction (the rule penalties,
 ``sum |E_k|``) runs over the whole array, the kernel sees the operand
 layouts of that loop (C-order views of ``z`` for modes 0 and 2 and the
@@ -93,10 +94,7 @@ short of subnormal values, so seeded solves are bit-identical to it;
 is the sign of an exact zero: the constraint adds ``M * observed`` where
 that loop adds ``Y * mask``, and the two can differ in the sign of a zero
 term, so an entry that is exactly 0 can come out as -0 in one and +0 in
-the other.  Against the loop that wrote the robust method's step 3 out
-as the soft threshold and the multiplier update, ``rtcpfnc`` differs by
-rounding (about 1e-14 of max|X| after 25 iterations), and the other
-methods not at all.
+the other.
 """
 
 import math
@@ -140,7 +138,8 @@ def default_lambda(dims):
 @dataclass(frozen=True)
 class SolverConfig:
     """Shared configuration for all completion methods; every scalar field
-    is checked by :func:`tensor.check_scalar` when the config is built.
+    is checked by :func:`tensor.check_scalar` when the config is built, and
+    ``rho`` must leave the threshold ``WEIGHT / rho`` finite.
 
     ``lam`` (the sparsity weight of the robust method) defaults to None,
     meaning :func:`default_lambda` of the input dims is used at run time.
@@ -166,13 +165,18 @@ class SolverConfig:
             check_scalar("lambda", self.lam, 0, open_low=True)
         check_scalar("max_iters", self.max_iters, 1, integer=True)
         check_scalar("truncation_rate", self.truncation_rate, 0, 1, open_high=True)
+        # the threshold WEIGHT / rho must be finite; the message names the
+        # weight alpha_k, as HaLRTC writes it
+        if not math.isfinite(WEIGHT / float(self.rho)):
+            raise UsageError(f"rho={self.rho!r} is too small: alpha_k / rho is not finite")
 
 
 @dataclass
 class SolverState:
     """End-of-iteration snapshot handed to ``iter_hook`` (arrays are copies):
     M after and before (``m_pre_constraint``) observed entries are reset to
-    the data, and the per-mode L_k, E_k (None unless robust) and T_k."""
+    the data, and the per-mode L_k, E_k and T_k.  E_k is None unless
+    robust, and is formed as (U_k - T_k) / rho from the loop's U_k."""
 
     m: np.ndarray
     lk: tuple
@@ -225,12 +229,6 @@ def complete(y, mask, cfg, iter_hook=None):
     robust = cfg.method == "rtcpfnc"
     rho = cfg.rho
     lam = cfg.lam if cfg.lam is not None else default_lambda(dims)
-    # the thresholds WEIGHT / rho and, robust only, lam / rho must be finite;
-    # the message names the weight alpha_k, as HaLRTC writes it
-    for name, weight in (("alpha_k", WEIGHT),
-                         ("lambda", lam if robust else 0.0)):
-        if not math.isfinite(weight / float(rho)):
-            raise UsageError(f"rho={rho!r} is too small: {name} / rho is not finite")
     rules = [
         RULES[cfg.method](WEIGHT / rho,
                           min(round(cfg.truncation_rate * n), min(n, size // n) - 1))
@@ -246,7 +244,8 @@ def complete(y, mask, cfg, iter_hook=None):
     observed = ~hidden
     lk = np.zeros((3,) + dims)
     tk = np.zeros((3,) + dims)
-    ek = np.zeros((3,) + dims) if robust else None
+    # U_k = T_k + rho E_k; without E_k it is T_k itself
+    uk = np.zeros((3,) + dims) if robust else tk
     # each mode's shrunk spectrum, the kernel's warm start for that mode
     sigmas = [None, None, None]
     history = []
@@ -262,12 +261,11 @@ def complete(y, mask, cfg, iter_hook=None):
     def block_views(i):
         """Views of block i of every array the elementwise steps touch:
         M before and after the constraint, hidden, observed, a block of
-        scratch, and the rows of L, T and E (None unless robust)."""
+        scratch, and the rows of L, T and U."""
         b = slice(i, i + BLOCK)
         return (a[b], m.reshape(-1)[b], hidden.reshape(-1)[b],
                 observed.reshape(-1)[b], tmp[: len(a[b])],
-                *(None if x is None else list(x.reshape(3, -1)[:, b])
-                  for x in (lk, tk, ek)))
+                *(list(x.reshape(3, -1)[:, b]) for x in (lk, tk, uk)))
 
     blocks = [block_views(i) for i in starts]
     # the kernel's inputs and buffer pairs: modes 0 and 2 shrink C-order
@@ -283,19 +281,14 @@ def complete(y, mask, cfg, iter_hook=None):
     into_slot1 = fold(inputs[1], 1, dims)
     from_a = fold(a.reshape((dims[1], size // dims[1]), order="F"), 1, dims)
 
-    def elementwise_steps(p, mb, hb, ob, t, lb, tb, eb):
+    def elementwise_steps(p, mb, hb, ob, t, lb, tb, ub):
         """Consensus, constraint and multiplier steps on one block, with the
-        robust method's anomaly read off the clip of its multipliers."""
+        robust method's U_k read off the clip of its multipliers."""
         np.add(lb[0], lb[1], out=p)
         p += lb[2]
         p /= 3.0
-        if robust:
-            np.add(eb[0], eb[1], out=t)
-            t += eb[2]
-            t /= 3.0
-            p += t
-        np.add(tb[0], tb[1], out=t)
-        t += tb[2]
+        np.add(ub[0], ub[1], out=t)
+        t += ub[2]
         t /= 3.0 * rho
         p += t
         # p*hidden + M*observed: M equals P(Y) on the observed entries, so
@@ -308,13 +301,13 @@ def complete(y, mask, cfg, iter_hook=None):
             np.subtract(lb[k], mb, out=t)
             t *= rho
             if robust:
-                # T_k + rho (L_k - M) clipped to [-lam, lam] is the new
-                # T_k, and what the clip removed, over rho, is E_k (the
-                # consensus has read the old one)
+                # v = T_k + rho (L_k - M) clipped to [-lam, lam] is the new
+                # T_k, and rho E_k is what the clip removed, so U_k is
+                # (T_k - v) + T_k (the consensus has read the old one)
                 t += tb[k]
                 np.clip(t, -lam, lam, out=tb[k])
-                np.subtract(tb[k], t, out=eb[k])
-                eb[k] /= rho
+                np.subtract(tb[k], t, out=ub[k])
+                ub[k] += tb[k]
             else:
                 tb[k] += t
 
@@ -325,11 +318,9 @@ def complete(y, mask, cfg, iter_hook=None):
             for k in range(3):
                 # z is built in blocks in A; L_k is dead until its new
                 # value is written, so its slot is the kernel's other buffer
-                for p, mb, _, _, _, _, tb, eb in blocks:
-                    np.divide(tb[k], rho, out=p)
+                for p, mb, *_, ub in blocks:
+                    np.divide(ub[k], rho, out=p)
                     np.subtract(mb, p, out=p)
-                    if robust:
-                        p -= eb[k]
                 if k == 1:
                     np.copyto(into_slot1, a.reshape(dims))
                 _, sigmas[k] = apply_shrinkage(inputs[k], rules[k], sigmas[k],
@@ -344,7 +335,7 @@ def complete(y, mask, cfg, iter_hook=None):
             state = None if iter_hook is None else SolverState(
                 m=m.copy(),
                 lk=tuple(x.copy() for x in lk),
-                ek=tuple(x.copy() for x in ek) if robust else None,
+                ek=tuple((uk - tk) / rho) if robust else None,
                 tk=tuple(x.copy() for x in tk),
                 m_pre_constraint=a.reshape(dims).copy(),
             )
@@ -352,9 +343,13 @@ def complete(y, mask, cfg, iter_hook=None):
             for k in range(3):
                 obj += WEIGHT * rules[k].penalty(sigmas[k])
             if robust:
-                obj += lam * sum(
-                    float(np.sum(np.abs(e, out=a.reshape(dims)))) for e in ek
-                )
+                # sum |E_k| with E_k = (U_k - T_k) / rho formed in A
+                e, l1 = a.reshape(dims), 0.0
+                for k in range(3):
+                    np.subtract(uk[k], tk[k], out=e)
+                    e /= rho
+                    l1 += float(np.sum(np.abs(e, out=e)))
+                obj += lam * l1
             # max and min propagate NaN, so both are finite iff all of m is
             if not (np.isfinite(obj) and np.isfinite(m.max())
                     and np.isfinite(m.min())):
@@ -368,17 +363,20 @@ def complete(y, mask, cfg, iter_hook=None):
             if check_convergence(history, cfg.tol):
                 break
 
-    # (W L_0 + W L_1) + W L_2 with W = WEIGHT in A, with T_0 as scratch,
-    # and (E_0 + E_1 + E_2) / 3 in M's buffer: neither is a view of the
-    # stacks, which would keep them alive as long as the result
+    # (E_0 + E_1 + E_2) / 3 in M's buffer, with each E_k formed in U_k's
+    # slot, and then (W L_0 + W L_1) + W L_2 with W = WEIGHT in A, with T_0
+    # as scratch: neither is a view of the stacks, which would keep them
+    # alive as long as the result
+    anomaly = None
+    if robust:
+        uk -= tk
+        uk /= rho
+        anomaly = np.add(uk[0], uk[1], out=m)
+        anomaly += uk[2]
+        anomaly /= 3.0
     recovered = np.multiply(lk[0], WEIGHT, out=a.reshape(dims))
     for k in (1, 2):
         recovered += np.multiply(lk[k], WEIGHT, out=tk[0])
-    anomaly = None
-    if robust:
-        anomaly = np.add(ek[0], ek[1], out=m)
-        anomaly += ek[2]
-        anomaly /= 3.0
     return SolverResult(
         recovered=recovered,
         anomaly=anomaly,

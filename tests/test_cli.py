@@ -993,6 +993,21 @@ def test_complete_rho_too_small_is_usage_error(tmp_path, capsys):
     assert "rho=1e-310 is too small" in err and "Traceback" not in err
 
 
+def test_eval_and_rerun_refuse_a_recorded_rho_that_overflows(tmp_path, capsys):
+    """A recorded rho for which WEIGHT / rho overflows is a config value
+    that SolverConfig refuses: eval --manifest, given the recorded output,
+    and rerun each exit 3 before they write anything."""
+    man = _edited_run(tmp_path, _set("config", "rho", 1e-310))
+    before = _files(tmp_path)
+    assert run("eval", "--truth", tmp_path / "y.tns",
+               "--recovered", tmp_path / "rec.tns", "--mask", tmp_path / "m.msk",
+               "--manifest", man) == 3
+    assert run("rerun", "--manifest", man, "--workdir", tmp_path / "replay") == 3
+    assert _files(tmp_path) == before and not (tmp_path / "replay").exists()
+    err = capsys.readouterr().err
+    assert err.count("rho=1e-310 is too small: alpha_k / rho is not finite") == 2
+
+
 @pytest.mark.parametrize("content", [NOT_UTF8, b"1" * 200000],
                          ids=["not-utf8", "huge-field"])
 def test_unparseable_csv_is_input_error(tmp_path, content):

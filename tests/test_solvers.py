@@ -1,6 +1,7 @@
 """Solver tests: ADMM mechanics via iteration hooks, degeneracies, errors."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,14 +237,25 @@ def test_config_validation():
 
 
 def test_rho_too_small_for_a_finite_threshold_is_named():
-    """WEIGHT / rho or lam / rho overflowing is reported in terms of rho."""
+    """WEIGHT / rho overflowing is reported in terms of rho."""
     y, mask = _instance(3)
     with pytest.raises(UsageError, match=r"rho=1e-310 is too small: alpha_k / rho"):
         complete(y, mask, SolverConfig("tcpfnc", rho=1e-310))
-    with pytest.raises(UsageError, match=r"too small: lambda / rho"):
-        complete(y, mask, SolverConfig("rtcpfnc", rho=1e-300, lam=1e10))
+    # no step forms lam / rho, so a lam / rho that overflows is no error
+    result = complete(y, mask, SolverConfig("rtcpfnc", rho=1e-300, lam=1e10))
+    assert np.all(np.isfinite(result.recovered))
+    assert np.all(np.isfinite(result.anomaly))
     # lam is unused outside the robust method
     complete(y, mask, SolverConfig("tcpfnc", rho=1e-300, lam=1e10, max_iters=1))
+
+
+def test_config_refuses_a_rho_that_overflows_the_threshold():
+    """The config itself refuses a rho for which WEIGHT / rho is not
+    finite, so every reader of a config refuses it before solving."""
+    with pytest.raises(UsageError, match=r"^rho=1e-310 is too small: "
+                                         r"alpha_k / rho is not finite$"):
+        SolverConfig("tcpfnc", rho=1e-310)
+    SolverConfig("tcpfnc", rho=1e-300)
 
 
 def test_default_lambda_formula():
@@ -318,20 +330,23 @@ def _unfolded_two_product_mode(z, k, rule, sigma_prev):
 
 
 def _clip_step(m, lk, tk, rho, lam):
-    """The robust step 3 of ``complete``, in its order: T_k + rho (L_k - M)
-    clipped to [-lam, lam] is the new T_k, and E_k is what the clip
-    removed, over rho.  Returns the new E_k and T_k."""
+    """The robust step 3 of ``complete``, in its order: v = T_k + rho (L_k -
+    M) clipped to [-lam, lam] is the new T_k, rho E_k is what the clip
+    removed, and U_k = T_k + rho E_k is (T_k - v) + T_k.  Returns the new
+    U_k and T_k."""
     props = [(lk[k] - m) * rho + tk[k] for k in range(3)]
     tk = [np.clip(prop, -lam, lam) for prop in props]
-    return [(t - prop) / rho for t, prop in zip(tk, props)], tk
+    return [(t - prop) + t for t, prop in zip(tk, props)], tk
 
 
 def _soft_threshold_step(m, lk, tk, rho, lam):
     """The robust step 3 as the paper writes it, and as the loop ran it
     before it became one clip: E_k = soft_threshold(M - L_k - T_k/rho,
-    lam/rho) with the iteration-start T_k, then T_k + rho (L_k + E_k - M)."""
+    lam/rho) with the iteration-start T_k, then T_k + rho (L_k + E_k - M).
+    Returns the new U_k = T_k + rho E_k and T_k."""
     ek = [soft_threshold(m - lk[k] - tk[k] / rho, lam / rho) for k in range(3)]
-    return ek, [tk[k] + rho * ((lk[k] - m) + ek[k]) for k in range(3)]
+    tk = [tk[k] + rho * ((lk[k] - m) + ek[k]) for k in range(3)]
+    return [t + rho * e for t, e in zip(tk, ek)], tk
 
 
 def _reference_run(y, mask, cfg, shrink_mode=_shrink_mode,
@@ -339,7 +354,7 @@ def _reference_run(y, mask, cfg, shrink_mode=_shrink_mode,
     """Reference ADMM loop: the steps of the solvers module docstring with a
     fresh array for every intermediate and one list entry per mode, each
     mode updated by ``shrink_mode(z, k, rule, sigma_prev)`` and, robust
-    only, E_k and T_k by ``robust_step(m, lk, tk, rho, lam)``."""
+    only, U_k and T_k by ``robust_step(m, lk, tk, rho, lam)``."""
     dims = y.shape
     robust = cfg.method == "rtcpfnc"
     rho = cfg.rho
@@ -357,29 +372,26 @@ def _reference_run(y, mask, cfg, shrink_mode=_shrink_mode,
     m = y_obs.copy()
     lk = [np.zeros(dims) for _ in range(3)]
     tk = [np.zeros(dims) for _ in range(3)]
-    ek = [np.zeros(dims) for _ in range(3)] if robust else None
+    uk = [np.zeros(dims) for _ in range(3)] if robust else tk
     sigma_prev = [None, None, None]
     history = []
     converged = False
     for it in range(1, cfg.max_iters + 1):
         sigmas = []
         for k in range(3):
-            z = m - tk[k] / rho
-            if robust:
-                z = z - ek[k]
+            z = m - uk[k] / rho
             lk[k], sig = shrink_mode(z, k, rules[k], sigma_prev[k])
             sigmas.append(sig)
         sigma_prev = sigmas
         recovered = WEIGHT * lk[0] + WEIGHT * lk[1] + WEIGHT * lk[2]
         m_pre = (lk[0] + lk[1] + lk[2]) / 3.0
-        if robust:
-            m_pre = m_pre + (ek[0] + ek[1] + ek[2]) / 3.0
-        m_pre = m_pre + (tk[0] + tk[1] + tk[2]) / (3.0 * rho)
+        m_pre = m_pre + (uk[0] + uk[1] + uk[2]) / (3.0 * rho)
         m = apply_constraint(m_pre, y_obs, mask)
         if robust:
-            ek, tk = robust_step(m, lk, tk, rho, lam)
+            uk, tk = robust_step(m, lk, tk, rho, lam)
         else:
-            tk = [tk[k] + rho * (lk[k] - m) for k in range(3)]
+            tk = uk = [tk[k] + rho * (lk[k] - m) for k in range(3)]
+        ek = [(u - t) / rho for u, t in zip(uk, tk)] if robust else None
         obj = 0.0
         for k, s in enumerate(sigmas):
             if cfg.method in ("tcpfnc", "rtcpfnc"):
@@ -408,8 +420,8 @@ def _outlier_instance(seed, dims):
     return y, mask
 
 
-def _assert_matches_reference(y, mask, cfg):
-    result = complete(y * mask, mask, cfg)
+def _assert_matches_reference(y, mask, cfg, iter_hook=None):
+    result = complete(y * mask, mask, cfg, iter_hook)
     recovered, anomaly, iters, converged, history = _reference_run(
         y * mask, mask, cfg)
     np.testing.assert_array_equal(result.recovered, recovered)
@@ -423,15 +435,41 @@ def _assert_matches_reference(y, mask, cfg):
     return result
 
 
-@pytest.mark.parametrize("method", METHODS)
+# at lam = 1e-2 the robust solve clips in one mode only, at 1e-3 in all three
+@pytest.mark.parametrize("method, lam", [
+    *(pytest.param(method, 1e-2, id=method) for method in METHODS),
+    pytest.param("rtcpfnc", 1e-3, id="rtcpfnc-lam1e-3"),
+])
 # the unfoldings 20x6 of mode 0 and of mode 1 are tall, and so are the
 # C-order views of mode 2 but for 2x3x20, where it is 6x20
 @pytest.mark.parametrize("dims", [(9, 8, 7), (20, 3, 2), (3, 20, 2), (2, 3, 20)])
-def test_in_place_loop_is_bit_identical_to_reference(method, dims):
+def test_in_place_loop_is_bit_identical_to_reference(method, lam, dims):
     y, mask = _outlier_instance(19, dims)
-    cfg = SolverConfig(method, rho=1e-3, lam=1e-2, truncation_rate=0.3,
+    cfg = SolverConfig(method, rho=1e-3, lam=lam, truncation_rate=0.3,
                        tol=1e-30, max_iters=25)
-    _assert_matches_reference(y, mask, cfg)
+    clipped = set()
+
+    def record_clips(state):
+        if state.ek is not None:
+            clipped.update(k for k in range(3) if np.any(state.ek[k]))
+
+    _assert_matches_reference(y, mask, cfg, record_clips)
+    if lam == 1e-3:
+        assert clipped == {0, 1, 2}
+
+
+@pytest.mark.parametrize("rho", [1e-3, 7e-4])
+def test_robust_solve_that_never_clips_is_the_plain_solve(rho):
+    """With lam above every multiplier the clip never acts, so U_k is T_k
+    and every E_k is +0: rtcpfnc is tcpfnc bit for bit."""
+    y, mask = _outlier_instance(19, (9, 8, 7))
+    cfg = SolverConfig("tcpfnc", rho=rho, lam=1e6, tol=1e-30, max_iters=50)
+    plain = complete(y * mask, mask, cfg)
+    robust = complete(y * mask, mask, replace(cfg, method="rtcpfnc"))
+    assert robust.recovered.tobytes() == plain.recovered.tobytes()
+    assert robust.objective_history == plain.objective_history
+    assert robust.iterations == plain.iterations == 50
+    assert robust.anomaly.tobytes() == np.zeros(y.shape).tobytes()
 
 
 # The instances of the reference-loop tests, with their sparsity weights.
