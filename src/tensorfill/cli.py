@@ -329,7 +329,8 @@ def _solve_and_write(cfg, inputs, outputs):
     roles to, runs :func:`complete`, and writes each (role, path) pair of
     ``outputs``: the result field the role names, to the path.  Returns the
     result, the output file records and the wall-clock seconds of the
-    tensor read and the solve.
+    tensor read and the solve.  A solve whose ranks are all 0 gets one
+    ``warning:`` line on stderr, since its output is all zeros.
 
     The tensor is read inside the call to :func:`complete` and no name here
     holds it, so ``complete`` frees it once it has formed ``M``: a call
@@ -340,6 +341,10 @@ def _solve_and_write(cfg, inputs, outputs):
     start = time.perf_counter()
     result = complete(read_tensor(inputs["tensor"]), mask, cfg)
     wall = time.perf_counter() - start
+    if not any(result.ranks):
+        print(f"warning: every singular value was zeroed, so the output is all"
+              f" zeros: rho={cfg.rho:g} is too small for the data's scale",
+              file=sys.stderr)
     records = []
     for role, path in outputs:
         write_tensor(path, getattr(result, role))

@@ -116,7 +116,7 @@ class TruncatedRule:
         return float(np.sum(sigma[self.r:]))
 
 
-def apply_shrinkage(z, rule, sigma_prev=None, work=None):
+def apply_shrinkage(z, rule, sigma_prev=None, work=None, submit=None):
     """Shrink the singular values of ``z`` by the thresholds of ``rule``.
 
     Returns (matrix, shrunk_sigma) where shrunk_sigma holds the output's
@@ -161,6 +161,14 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None):
     its shape in C or Fortran order; then A is scaled in place, which is
     how ``solvers.complete`` runs a mode update in two buffers.
 
+    ``submit``, if given, is called with the output product, a function of
+    no arguments that runs the ``np.matmul`` and ``np.copyto`` calls over
+    the work pair, instead of the kernel running it; everything else, up
+    to the thresholds, runs in the call.  The matrix returned holds the
+    output once that function has run, and until then both buffers of
+    the pair belong to it.  ``solvers.complete`` passes a ``submit`` that
+    queues the product on a helper thread.
+
     Raises NumericError on non-finite input or eigensolver non-convergence.
     """
     a = np.asarray(z, dtype=np.float64)
@@ -192,12 +200,21 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None):
     left = np.ldexp(u * (shrunk[keep] / sigma[keep]), exponent)
     mat = work[0][: a.size].reshape(a.shape, order=order)
     if 2 * r > n:
-        np.matmul(left @ u.T, a, out=mat)
+        left = left @ u.T
+
+        def product():
+            np.matmul(left, a, out=mat)
     else:
-        rows = np.matmul(u.T, a, out=work[0][: r * a.shape[1]].reshape(
-            r, a.shape[1]))
-        # a is not read again, so the product may take its memory
-        np.copyto(mat, np.matmul(left, rows, out=a))
+        rows = work[0][: r * a.shape[1]].reshape(r, a.shape[1])
+
+        def product():
+            np.matmul(u.T, a, out=rows)
+            # a is not read again, so the product may take its memory
+            np.copyto(mat, np.matmul(left, rows, out=a))
+    if submit is None:
+        product()
+    else:
+        submit(product)
     return (mat.T if tall else mat), shrunk
 
 

@@ -43,21 +43,43 @@ observed entries as bool tensors, and after set-up it allocates nothing
 tensor-sized.  ``P_omega(Y)`` is not stored: ``M`` starts as it and keeps
 it on the observed entries, so the constraint is ``p * hidden + M *
 observed``.  The loop owns one workspace, a flat buffer ``A`` of
-``y.size`` entries, which the three modes reuse in turn, and it borrows
-the slot of ``L_k`` while mode k updates: the previous ``L_k`` was last
-read by the previous iteration's elementwise steps and the hook, and the
-new one is written only once the kernel is done.
+``y.size`` entries, and it borrows the slots of the ``L_k``: the previous
+``L_k`` was last read by the previous iteration's elementwise steps and
+the hook, so each slot is free until the mode that writes it.
 
-Every mode builds ``z`` in blocks in ``A``, in C order, and the kernel
-always leaves its output in its first buffer, laid out as its input
-(:func:`prox.apply_shrinkage`).  Modes 0 and 2 shrink C-order views of
-``A`` with ``L_k``'s slot as the first buffer, so their output lands in
-``L_k`` with no copy in the loop.  Mode 1 copies ``A`` into its
-Fortran-order unfolding in ``L_1``'s slot and shrinks that with ``A`` as
-the first buffer; one copy moves the output into ``L_1``.  Both copies go
-through fold views made once.
+The modes do not depend on each other within an iteration, so the loop
+runs them in the order 1, 0, 2, which changes no bit.  Each mode builds
+``z`` in blocks, in C order, and the kernel always leaves its output in
+its first buffer, laid out as its input (:func:`prox.apply_shrinkage`):
 
-After the three kernels ``A`` holds ``M`` before the constraint, and
+* mode 1 builds ``z`` in ``A`` and copies it into its Fortran-order
+  unfolding in ``L_1``'s slot, while mode 0 builds its ``z`` in ``L_2``'s
+  slot; mode 1 shrinks its unfolding with ``A`` as the first buffer, and
+  one copy moves the output into ``L_1``;
+* mode 0 shrinks a C-order view of ``L_2``'s slot with ``L_0``'s slot as
+  the first buffer;
+* mode 2 builds ``z`` in ``A`` once mode 1's output is in ``L_1``, and
+  shrinks a C-order view of it with ``L_2``'s slot as the first buffer,
+  which mode 0's output product has read by then.
+
+Both copies of mode 1 go through fold views made once.  The plan needs
+no tensor beyond ``A``, and it leaves each mode's output product free to
+run while the loop builds and decomposes the next mode.  When
+:func:`use_helper` allows it, the kernel hands the product to ``submit``
+and the loop queues it, and mode 1's two copies, on one helper thread,
+which runs them in order under the loop's error state.  The loop waits
+for the first copy before mode 1's kernel, for the second before it
+builds mode 2's ``z``, and for every queued call before the elementwise
+steps.  The helper runs only BLAS products and copies, which release the
+GIL, and each product still runs on one BLAS thread, so the outputs are
+the serial loop's bit for bit.  The
+helper starts only for at least :data:`PIPELINE_MIN` entries, with two
+CPUs or more allowed and BLAS set to one thread: on smaller tensors its
+hand-offs cost more than it saves, and a helper product next to a
+multi-threaded BLAS call oversubscribes the cores.  It is shut down on
+every way out of the loop.
+
+After the elementwise steps ``A`` holds ``M`` before the constraint, and
 then, robust only, each ``E_k`` in turn for ``sum |E_k|``.
 
 So the working set is 7.25 tensors of state (``M``, the three ``L_k`` and
@@ -97,7 +119,10 @@ term, so an entry that is exactly 0 can come out as -0 in one and +0 in
 the other.
 """
 
+import contextlib
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +153,40 @@ WEIGHT = 1 / 3
 # Entries per block of the elementwise steps: 128 KiB per operand block, so
 # the blocks of one step stay in L2.
 BLOCK = 16384
+# The fewest entries for which the loop runs the output products on a
+# helper thread (see the module docstring).  With one BLAS thread on two
+# cores, halrtc with the helper against without it took +47% per iteration
+# at 30x24x14, +6% at 64x48x44, 0% at 72x56x40, -6% at 80x64x40, -15% at
+# 96x72x48 and -13% at 120x96x60: below about 160000 entries the hand-offs
+# cost more than the products save.
+PIPELINE_MIN = 1 << 18
+
+
+def use_helper(size):
+    """Whether a solve of ``size`` entries runs its output products on a
+    helper thread: it does when the tensor has at least
+    :data:`PIPELINE_MIN` entries, the process may run on two CPUs or more,
+    and BLAS runs one thread, so that the helper takes an idle CPU.  The
+    thread count is read as numpy's bundled OpenBLAS reads it at load: the
+    first of its variables that holds a positive integer, and every CPU
+    when none does."""
+    if size < PIPELINE_MIN or len(os.sched_getaffinity(0)) < 2:
+        return False
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
+def _quietly(fn):
+    """Run ``fn`` on the helper under the loop's error state, which the
+    helper does not share: numpy's ``errstate`` is context-local."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fn()
 
 
 def default_lambda(dims):
@@ -250,10 +309,10 @@ def complete(y, mask, cfg, iter_hook=None):
     sigmas = [None, None, None]
     history = []
 
-    # The workspace: one flat buffer A, which all three modes reuse, with
-    # L_k's own slot as the kernel's first buffer (see the module
-    # docstring), and one block of scratch for the elementwise steps.  A
-    # holds M before the constraint once the three kernels have run.
+    # The workspace: one flat buffer A, which modes 1 and 2 reuse, with the
+    # L_k slots as the kernels' other buffers (see the module docstring),
+    # and one block of scratch for the elementwise steps.  A holds M before
+    # the constraint once the elementwise steps have run.
     a = np.empty(size)
     tmp = np.empty(min(BLOCK, size))
     starts = range(0, size, BLOCK)
@@ -268,18 +327,18 @@ def complete(y, mask, cfg, iter_hook=None):
                 *(list(x.reshape(3, -1)[:, b]) for x in (lk, tk, uk)))
 
     blocks = [block_views(i) for i in starts]
-    # the kernel's inputs and buffer pairs: modes 0 and 2 shrink C-order
-    # views of A, in the tensor's own layout (mode 2 as the transpose of
-    # its unfolding), with their output in L_k's slot; mode 1 shrinks its
-    # Fortran-order unfolding in L_1's slot, filled from A, with its output
-    # in A, and both copies go through the fold views made here
-    slot1 = lk[1].reshape(-1)
-    inputs = [a.reshape(dims[0], -1),
+    # the kernel's input and buffer pair of each mode, and mode 1's copies
+    # of z from A into its unfolding and of its output back into L_1,
+    # through fold views made once (see the module docstring)
+    slot0, slot1, slot2 = (x.reshape(-1) for x in lk)
+    inputs = [slot2.reshape(dims[0], -1),
               slot1.reshape((dims[1], size // dims[1]), order="F"),
               a.reshape(-1, dims[2])]
-    works = [(lk[0].reshape(-1), a), (a, slot1), (lk[2].reshape(-1), a)]
-    into_slot1 = fold(inputs[1], 1, dims)
-    from_a = fold(a.reshape((dims[1], size // dims[1]), order="F"), 1, dims)
+    works = [(slot0, slot2), (a, slot1), (slot2, a)]
+    copy_in = functools.partial(np.copyto, fold(inputs[1], 1, dims),
+                                a.reshape(dims))
+    copy_back = functools.partial(np.copyto, lk[1], fold(
+        a.reshape((dims[1], size // dims[1]), order="F"), 1, dims))
 
     def elementwise_steps(p, mb, hb, ob, t, lb, tb, ub):
         """Consensus, constraint and multiplier steps on one block, with the
@@ -311,22 +370,58 @@ def complete(y, mask, cfg, iter_hook=None):
             else:
                 tb[k] += t
 
+    def build(k):
+        """z = M - U_k/rho in blocks, in L_2's slot for mode 0 and in A
+        otherwise: each is free until the mode that writes it."""
+        for p, mb, _, _, _, lb, _, ub in blocks:
+            q = lb[2] if k == 0 else p
+            np.divide(ub[k], rho, out=q)
+            np.subtract(mb, q, out=q)
+
+    def shrink(k):
+        sigmas[k] = apply_shrinkage(inputs[k], rules[k], sigmas[k], works[k],
+                                    submit=later)[1]
+
+    # mode 1's two copies and the output products, queued on the helper in
+    # order, or run at once without it
+    pending = []
+
+    def later(fn):
+        if helper is None:
+            fn()
+        else:
+            pending.append(helper.submit(_quietly, fn))
+
+    def settle(n=None):
+        """Wait for the first n queued calls, all by default, reading each
+        result so that an error raised on the helper surfaces here."""
+        for future in pending[:n]:
+            future.result()
+
+    pipelined = use_helper(size)
+    if pipelined:
+        from concurrent.futures import ThreadPoolExecutor
     # Overflow is caught by the per-iteration finite check; silence the
     # interim numpy warnings so the error surfaces once, with context.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # The helper, if any, is shut down on every way out of the loop.
+    with (ThreadPoolExecutor(1) if pipelined else contextlib.nullcontext() as helper,
+          np.errstate(over="ignore", invalid="ignore")):
         for it in range(1, cfg.max_iters + 1):
-            for k in range(3):
-                # z is built in blocks in A; L_k is dead until its new
-                # value is written, so its slot is the kernel's other buffer
-                for p, mb, *_, ub in blocks:
-                    np.divide(ub[k], rho, out=p)
-                    np.subtract(mb, p, out=p)
-                if k == 1:
-                    np.copyto(into_slot1, a.reshape(dims))
-                _, sigmas[k] = apply_shrinkage(inputs[k], rules[k], sigmas[k],
-                                               works[k])
-                if k == 1:
-                    np.copyto(lk[1], from_a)
+            # the modes in the order 1, 0, 2 (see the module docstring)
+            build(1)
+            later(copy_in)
+            build(0)
+            settle()
+            shrink(1)
+            later(copy_back)
+            copied = len(pending)
+            shrink(0)
+            # A holds mode 1's output until it is copied into L_1
+            settle(copied)
+            build(2)
+            shrink(2)
+            settle()
+            pending.clear()
             for block in blocks:
                 elementwise_steps(*block)
 

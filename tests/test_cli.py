@@ -218,16 +218,23 @@ def test_complete_robust_emits_anomaly_file(tmp_path):
     assert read_tensor(anomaly).shape == (8, 7, 6)
 
 
-def test_complete_reports_the_final_rank_of_each_mode(tmp_path, capsys):
-    """At the default rho the nuclear threshold WEIGHT / rho zeroes every
-    singular value of this tensor, so the solve stops at once with an
-    all-zero output; the ranks on the complete line and in the manifest
-    say so next to converged=True."""
+def _zero_rank_files(tmp_path):
+    """A 12x10x8 tensor and mask on which halrtc at the default rho zeroes
+    every singular value."""
     y, m = tmp_path / "y.tns", tmp_path / "m.msk"
     run("synth", "--dims", "12,10,8", "--rank", "2", "--noise", "0.5",
         "--seed", "0", "-o", y)
     run("mask", "--dims", "12,10,8", "--pattern", "rm", "--rate", "0.3",
         "--seed", "1", "-o", m)
+    return y, m
+
+
+def test_complete_reports_the_final_rank_of_each_mode(tmp_path, capsys):
+    """At the default rho the nuclear threshold WEIGHT / rho zeroes every
+    singular value of this tensor, so the solve stops at once with an
+    all-zero output; the ranks on the complete line and in the manifest
+    say so next to converged=True."""
+    y, m = _zero_rank_files(tmp_path)
     rec, man = tmp_path / "rec.tns", tmp_path / "man.json"
     capsys.readouterr()
     assert run("complete", "--tensor", y, "--mask", m, "--method", "halrtc",
@@ -235,6 +242,26 @@ def test_complete_reports_the_final_rank_of_each_mode(tmp_path, capsys):
     assert "iterations=2 converged=True ranks=0,0,0 " in capsys.readouterr().out
     assert json.loads(man.read_text())["ranks"] == [0, 0, 0]
     assert not np.any(read_tensor(rec))
+
+
+@pytest.mark.parametrize("rho, warned", [(None, True), ("1e-2", False)])
+def test_complete_warns_when_every_rank_is_zero(tmp_path, capsys, rho, warned):
+    """The all-zero solve above gets one warning line on stderr, with the
+    same exit code and output; a solve that keeps a value gets none."""
+    y, m = _zero_rank_files(tmp_path)
+    rec = tmp_path / "rec.tns"
+    capsys.readouterr()
+    assert run("complete", "--tensor", y, "--mask", m, "--method", "halrtc",
+               *(() if rho is None else ("--rho", rho)),
+               "-o", rec, "--manifest", tmp_path / "man.json") == 0
+    err = capsys.readouterr().err
+    assert bool(np.any(read_tensor(rec))) is not warned
+    if warned:
+        assert err == ("warning: every singular value was zeroed, so the output"
+                       " is all zeros: rho=0.0001 is too small for the data's"
+                       " scale\n")
+    else:
+        assert err == ""
 
 
 def test_complete_frees_the_input_tensor_during_the_solve(tmp_path):
@@ -276,7 +303,7 @@ def test_complete_numeric_divergence_is_numeric_error(tmp_path):
 
 
 def test_complete_threads_flag_is_usage_error(tmp_path, capsys):
-    """The solve has no thread pool, so there is no --threads to set."""
+    """The solve takes no thread count, so there is no --threads to set."""
     y, m = _pipeline_files(tmp_path)
     with pytest.raises(SystemExit) as exc:
         run("complete", "--tensor", y, "--mask", m, "--method", "tcpfnc",

@@ -446,6 +446,31 @@ def test_in_place_kernel_gives_the_bytes_of_the_public_path(shape, order, peak):
             assert shrunk_p.tobytes() == shrunk.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_submitted_product_runs_only_when_called(shape, order):
+    """With ``submit``, the call returns the spectrum and hands over the
+    output product without running it: the first buffer is untouched until
+    the product runs, and then holds the bytes of the plain call, in both
+    products, on a full-rank and a rank-deficient input."""
+    for deficient in (False, True):
+        for product in PRODUCTS:
+            z = _workspace_input(shape, order, deficient)
+            rule = _product_rule(product, z)
+            out, shrunk = apply_shrinkage(z, rule)
+            a, o = np.full(z.size, np.nan), np.full(z.size, np.nan)
+            view = a.reshape(shape, order=order)
+            view[...] = z
+            queued = []
+            mat, shrunk_s = apply_shrinkage(view, rule, None, (o, a),
+                                            submit=queued.append)
+            _assert_product(product, shrunk, deficient)
+            assert shrunk_s.tobytes() == shrunk.tobytes()
+            assert len(queued) == 1 and np.all(np.isnan(o))
+            queued[0]()
+            assert mat.tobytes() == out.tobytes()
+
+
 @pytest.mark.parametrize("tall", [False, True])
 def test_unshrunk_component_at_the_largest_peak_stays_finite(tall):
     """At max|z| of 1.5e308 the scaling exponent is 1023, the largest there

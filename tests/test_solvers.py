@@ -279,20 +279,24 @@ def test_max_iters_cap_reported_as_not_converged():
 @pytest.mark.parametrize("method", METHODS)
 def test_ranks_are_the_last_shrunk_spectra(monkeypatch, method):
     """``ranks`` counts the nonzero values of the spectrum each mode's last
-    shrink returned, read off the state the loop keeps."""
-    counts = []
+    shrink returned, read off the state the loop keeps.  Each count is
+    keyed by its mode, found from the shape of the input, since the loop
+    does not run the modes in the order 0, 1, 2."""
+    dims = (9, 8, 7)
+    counts = {k: [] for k in range(3)}
 
-    def counting(z, rule, sigma_prev=None, work=None):
-        mat, shrunk = apply_shrinkage(z, rule, sigma_prev, work)
-        counts.append(np.count_nonzero(shrunk))
+    def counting(z, rule, sigma_prev=None, work=None, submit=None):
+        mat, shrunk = apply_shrinkage(z, rule, sigma_prev, work, submit)
+        (k,) = [k for k, n in enumerate(dims) if n in np.shape(z)]
+        counts[k].append(np.count_nonzero(shrunk))
         return mat, shrunk
 
     monkeypatch.setattr(solvers, "apply_shrinkage", counting)
-    y, mask = _instance(21, dims=(9, 8, 7))
+    y, mask = _instance(21, dims=dims)
     result = complete(y * mask, mask, SolverConfig(
         method, rho=1e-3, lam=1e-2, truncation_rate=0.3, tol=1e-30, max_iters=12))
-    assert len(counts) == 3 * result.iterations
-    assert result.ranks == tuple(counts[-3:])
+    assert [len(c) for c in counts.values()] == [result.iterations] * 3
+    assert result.ranks == tuple(c[-1] for c in counts.values())
     assert all(type(r) is int for r in result.ranks)
     assert 0 < min(result.ranks)
 
