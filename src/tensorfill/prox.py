@@ -18,12 +18,13 @@ spectrum.  There are two rules:
 ``solvers.RULES`` is the one table that maps a completion method to its
 rule.  Every rule goes through one spectral kernel, :func:`apply_shrinkage`,
 which takes the eigendecomposition of the Gram matrix of the input's
-smaller side instead of a full SVD.  An elementwise soft threshold (the l1
-prox) rounds out the module.  The exact thin SVD, :func:`svd`, returns
-the plain triple (u, sigma, vt) and is the reference the kernel is tested
-against.
+smaller side instead of a full SVD and forms its output as one product.
+An elementwise soft threshold (the l1 prox) rounds out the module.  The
+exact thin SVD, :func:`svd`, returns the plain triple (u, sigma, vt) and
+is the reference the kernel is tested against.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,15 +126,15 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None, submit=None):
 
     With A the input or its transpose, whichever is wide, the kernel takes
     ``w, U = eigh(A A^T)`` and sigma = sqrt(max(w, 0)), so U holds the left
-    singular vectors and V^T is never formed.  The output is
-    ``U_r diag(shrunk_r / sigma_r) U_r^T A`` over the components r whose
-    shrunk value is nonzero; no other component is divided by.  A is first
-    scaled by 2**-e, with e the exponent that puts the peak max|A| in
-    [1, 2), so that the largest entry of A A^T lies in [1, 4 n] for n
-    columns and neither overflows nor underflows.  U_r^T A is formed from
-    the scaled A too, and the small left factor
-    ``U_r diag(shrunk_r / sigma_r)``, whose entries are at most 1, is
-    scaled by 2**e, at most 2**1023, so the output comes out in the scale
+    singular vectors and V^T is never formed.  The output is the one
+    product ``(U_r diag(shrunk_r / sigma_r) U_r^T) A`` over the components
+    r whose shrunk value is nonzero; no other component is divided by.  A
+    is first scaled by 2**-e, with e the exponent that puts the peak
+    max|A| in [1, 2), so that the largest entry of A A^T lies in [1, 4 n]
+    for n columns and neither overflows nor underflows.  The product is
+    formed from the scaled A too, and the small factor ``U_r diag(shrunk_r
+    / sigma_r)``, whose entries are at most 1, is scaled by 2**e, at most
+    2**1023, before it meets U_r^T, so the output comes out in the scale
     of the input.  Scaling by a power of two is exact and commutes with
     every rounding in the products, unless an entry or product is
     subnormal.  Squaring A squares its condition number: singular values
@@ -143,31 +144,23 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None, submit=None):
     A rather than from sigma, and against the exact SVD it agreed to
     1e-14 * sigma_max on wide, tall and rank-deficient inputs.
 
-    The output is formed by the cheaper of two associations, counted in
-    flops for n rows (the smaller side), N columns and r kept components:
-    ``(U_r D U_r^T) A``, one n x n x N product, when 2 r > n, and
-    ``(U_r D) (U_r^T A)``, two n x r x N products, otherwise.  The two
-    round differently, by about 1e-15 relative.
-
     ``work`` is a pair of flat float64 arrays of at least ``z.size``
     entries each; without it the kernel allocates the pair itself.  The
-    second holds the scaled A.  The output always lands in the first,
-    laid out as A is, and the returned matrix is a view of it, so a
-    C-ordered ``z`` gives a C-ordered output whether or not it is
-    transposed.  One product is formed there directly; for two, ``U_r^T
-    A`` is formed there, the output over A, which is not read again, and
-    one contiguous copy moves it into the first buffer.  ``z`` either
-    shares no memory with ``work`` or is ``work[1][:z.size]`` reshaped to
-    its shape in C or Fortran order; then A is scaled in place, which is
-    how ``solvers.complete`` runs a mode update in two buffers.
+    output product reads the scaled A from the second and writes the
+    output only to the first, laid out as A is; the returned matrix is a
+    view of it, so a C-ordered ``z`` gives a C-ordered output whether or
+    not it is transposed.  ``z`` either shares no memory with ``work`` or
+    is ``work[1][:z.size]`` reshaped to its shape in C or Fortran order;
+    then A is scaled in place, which is how ``solvers.complete`` runs a
+    mode update in two buffers.
 
     ``submit``, if given, is called with the output product, a function of
-    no arguments that runs the ``np.matmul`` and ``np.copyto`` calls over
-    the work pair, instead of the kernel running it; everything else, up
-    to the thresholds, runs in the call.  The matrix returned holds the
-    output once that function has run, and until then both buffers of
-    the pair belong to it.  ``solvers.complete`` passes a ``submit`` that
-    queues the product on a helper thread.
+    no arguments that runs its one ``np.matmul``, instead of the kernel
+    running it; everything else, up to the thresholds, runs in the call.
+    The matrix returned holds the output once that function has run, and
+    until then the product reads the second buffer and writes the first.
+    ``solvers.complete`` passes a ``submit`` that queues the product on a
+    helper thread.
 
     Raises NumericError on non-finite input or eigensolver non-convergence.
     """
@@ -195,22 +188,10 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None, submit=None):
     # thresholds are >= 0, so sigma >= shrunk > 0 on every kept component
     keep = shrunk > 0.0
     u = u[:, ::-1][:, keep]
-    n, r = u.shape
     # 2**e on the left factor undoes the scaling of a
-    left = np.ldexp(u * (shrunk[keep] / sigma[keep]), exponent)
+    left = np.ldexp(u * (shrunk[keep] / sigma[keep]), exponent) @ u.T
     mat = work[0][: a.size].reshape(a.shape, order=order)
-    if 2 * r > n:
-        left = left @ u.T
-
-        def product():
-            np.matmul(left, a, out=mat)
-    else:
-        rows = work[0][: r * a.shape[1]].reshape(r, a.shape[1])
-
-        def product():
-            np.matmul(u.T, a, out=rows)
-            # a is not read again, so the product may take its memory
-            np.copyto(mat, np.matmul(left, rows, out=a))
+    product = functools.partial(np.matmul, left, a, out=mat)
     if submit is None:
         product()
     else:

@@ -167,10 +167,18 @@ def use_helper(size):
     helper thread: it does when the tensor has at least
     :data:`PIPELINE_MIN` entries, the process may run on two CPUs or more,
     and BLAS runs one thread, so that the helper takes an idle CPU.  The
-    thread count is read as numpy's bundled OpenBLAS reads it at load: the
-    first of its variables that holds a positive integer, and every CPU
-    when none does."""
-    if size < PIPELINE_MIN or len(os.sched_getaffinity(0)) < 2:
+    CPUs are those ``os.sched_getaffinity`` allows where it exists (Linux),
+    and ``os.cpu_count()`` elsewhere.  The thread count is read as numpy's
+    bundled OpenBLAS reads it: the first of its variables that holds a
+    positive integer, and every CPU when none does.  OpenBLAS reads them
+    once, when numpy is imported, and this function reads them when
+    ``complete`` runs, so set them before numpy is imported: a value set
+    later changes the gate but not BLAS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if size < PIPELINE_MIN or cpus < 2:
         return False
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:

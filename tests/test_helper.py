@@ -82,8 +82,8 @@ def test_helper_gives_the_serial_bits(monkeypatch, method):
     """Every output and every hook snapshot is byte-equal with the helper
     on and off, and with it on, every queued call runs on the helper."""
     observed, mask = _instance()
-    # at this rho the halrtc ranks fall below half of each side, so both
-    # forms of the output product run on the helper
+    # at this rho the halrtc ranks fall below half of each side, so the
+    # helper runs products whose left factor has low rank as well as full
     cfg = SolverConfig(method, rho=3e-4, tol=1e-300, max_iters=6,
                        truncation_rate=0.3)
     serial, serial_snaps, none = _run(monkeypatch, False, observed, mask, cfg)
@@ -159,9 +159,24 @@ def test_helper_calls_run_under_the_loop_error_state():
 ])
 def test_gate_reads_size_cpus_and_blas_threads(monkeypatch, size, cpus, env,
                                                expected):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    # raising=False: the test also runs where os has no sched_getaffinity
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
     for var in BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     assert solvers.use_helper(size) is expected
+
+
+@pytest.mark.parametrize("cpus, expected", [(1, False), (2, True)])
+def test_gate_counts_cpus_without_sched_getaffinity(monkeypatch, cpus,
+                                                    expected):
+    """Where os has no sched_getaffinity (macOS, Windows), the gate counts
+    the CPUs with os.cpu_count() instead of raising AttributeError."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert solvers.use_helper(PIPELINE_MIN) is expected

@@ -278,17 +278,17 @@ def test_apply_shrinkage_matches_exact_svd(kind):
                 )
 
 
-# The kernel forms its output as one product, (U_r D U_r^T) A, when it
-# keeps r > n/2 of the n components, and as two, (U_r D) (U_r^T A),
-# otherwise.  TruncatedRule(0.0) keeps every nonzero component, so on a
-# full-rank input it takes the first; a threshold between singular values
-# n/2 and n/2 + 1, and above the kernel's noise floor, keeps at most n/2
-# and takes the second.  On a rank-deficient input the rank decides.
-PRODUCTS = ["one", "two"]
+# The kernel forms its output as the one product (U_r D U_r^T) A over
+# the r components it keeps of n.  TruncatedRule(0.0) keeps every nonzero
+# component, so on a full-rank input the left factor has full rank; a
+# threshold between singular values n/2 and n/2 + 1, and above the
+# kernel's noise floor, keeps at most n/2, so the left factor has low
+# rank.  On a rank-deficient input the rank decides.
+RANKS = ["full", "low"]
 
 
-def _product_rule(product, z):
-    if product == "one":
+def _rank_rule(rank, z):
+    if rank == "full":
         return TruncatedRule(0.0)
     sigma = svd(z)[1]
     half = len(sigma) // 2
@@ -296,21 +296,22 @@ def _product_rule(product, z):
                              1e-6 * float(sigma[0])))
 
 
-def _assert_product(product, shrunk, deficient):
-    """The rule kept as many components as its product needs; on a
-    rank-deficient input only the two-product rule is sure to."""
-    if product == "two" or not deficient:
-        assert (2 * np.count_nonzero(shrunk) > len(shrunk)) == (product == "one")
+def _assert_rank(rank, shrunk, deficient):
+    """The rule kept more than half of the components at full rank and at
+    most half at low rank; on a rank-deficient input only the low-rank
+    rule is sure to."""
+    if rank == "low" or not deficient:
+        assert (2 * np.count_nonzero(shrunk) > len(shrunk)) == (rank == "full")
 
 
-@pytest.mark.parametrize("product", PRODUCTS)
-def test_apply_shrinkage_matches_exact_svd_in_both_products(product):
+@pytest.mark.parametrize("rank", RANKS)
+def test_apply_shrinkage_matches_exact_svd_at_full_and_low_rank(rank):
     for z, deficient in _kernel_inputs():
         sigma = svd(z)[1]
-        rule = _product_rule(product, z)
+        rule = _rank_rule(rank, z)
         out, shrunk = apply_shrinkage(z, rule)
         ref, ref_shrunk = _exact_shrinkage(z, rule)
-        _assert_product(product, shrunk, deficient)
+        _assert_rank(rank, shrunk, deficient)
         np.testing.assert_allclose(out, ref, rtol=0, atol=KERNEL_ATOL * sigma[0])
         sigma_atol = DEFICIENT_SIGMA_ATOL if deficient else KERNEL_ATOL
         np.testing.assert_allclose(shrunk, ref_shrunk, rtol=0,
@@ -402,16 +403,17 @@ def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
     """A caller's workspace, larger than needed and holding stale values,
     changes no bit of the output: with or without it the kernel runs the
     same code, and the output is a view of the first workspace buffer, laid
-    out as the input is, in both products.  Each case runs both products on
-    a full-rank and a rank-deficient input."""
+    out as the input is, at full and low rank.  The product writes only the
+    first buffer, so the second still holds the scaled input after it.
+    Each case runs both rules on a full-rank and a rank-deficient input."""
     for deficient in (False, True):
-        for product in PRODUCTS:
+        for rank in RANKS:
             z = _workspace_input(shape, order, deficient)
-            rule = _product_rule(product, z)
+            rule = _rank_rule(rank, z)
             work = (np.full(z.size + 7, np.nan), np.full(z.size + 7, np.nan))
             out, shrunk = apply_shrinkage(z, rule)
             out_w, shrunk_w = apply_shrinkage(z, rule, None, work)
-            _assert_product(product, shrunk, deficient)
+            _assert_rank(rank, shrunk, deficient)
             assert 0 < np.count_nonzero(shrunk)
             np.testing.assert_array_equal(out_w, out)
             np.testing.assert_array_equal(shrunk_w, shrunk)
@@ -419,6 +421,10 @@ def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
             assert out_w.flags.f_contiguous == (order == "F")
             assert np.shares_memory(out_w, work[0])
             assert not np.shares_memory(out_w, z)
+            # z scaled to a peak in [1, 2), laid out as z is
+            scaled = np.ldexp(z, 1 - int(np.frexp(np.max(np.abs(z)))[1]))
+            held = work[1][: z.size].reshape(shape, order=order)
+            assert held.tobytes() == scaled.tobytes()
 
 
 @pytest.mark.parametrize("peak", [1e-3, 1.0, 1e300])
@@ -426,20 +432,19 @@ def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_in_place_kernel_gives_the_bytes_of_the_public_path(shape, order, peak):
     """The two-buffer path of the solver loop: with z a view of work[1],
-    the kernel scales it in place and the output, in the scale of z, lands
-    in work[0] in both products: formed there when it is one, and over z,
-    with U_r^T A in work[0], then copied there when it is two.  Each case
-    runs both products on a full-rank and a rank-deficient input."""
+    the kernel scales it in place and the output, in the scale of z, is
+    formed in work[0], at full and low rank.  Each case runs both rules on
+    a full-rank and a rank-deficient input."""
     for deficient in (False, True):
-        for product in PRODUCTS:
+        for rank in RANKS:
             z = _workspace_input(shape, order, deficient, peak)
-            rule = _product_rule(product, z)
+            rule = _rank_rule(rank, z)
             out, shrunk = apply_shrinkage(z, rule)
             a, o = np.full(z.size, np.nan), np.full(z.size, np.nan)
             view = a.reshape(shape, order=order)
             view[...] = z
             mat, shrunk_p = apply_shrinkage(view, rule, None, (o, a))
-            _assert_product(product, shrunk, deficient)
+            _assert_rank(rank, shrunk, deficient)
             assert np.shares_memory(mat, o)
             assert not np.shares_memory(mat, a)
             assert mat.tobytes() == out.tobytes()
@@ -451,12 +456,12 @@ def test_in_place_kernel_gives_the_bytes_of_the_public_path(shape, order, peak):
 def test_submitted_product_runs_only_when_called(shape, order):
     """With ``submit``, the call returns the spectrum and hands over the
     output product without running it: the first buffer is untouched until
-    the product runs, and then holds the bytes of the plain call, in both
-    products, on a full-rank and a rank-deficient input."""
+    the product runs, and then holds the bytes of the plain call, at full
+    and low rank, on a full-rank and a rank-deficient input."""
     for deficient in (False, True):
-        for product in PRODUCTS:
+        for rank in RANKS:
             z = _workspace_input(shape, order, deficient)
-            rule = _product_rule(product, z)
+            rule = _rank_rule(rank, z)
             out, shrunk = apply_shrinkage(z, rule)
             a, o = np.full(z.size, np.nan), np.full(z.size, np.nan)
             view = a.reshape(shape, order=order)
@@ -464,7 +469,7 @@ def test_submitted_product_runs_only_when_called(shape, order):
             queued = []
             mat, shrunk_s = apply_shrinkage(view, rule, None, (o, a),
                                             submit=queued.append)
-            _assert_product(product, shrunk, deficient)
+            _assert_rank(rank, shrunk, deficient)
             assert shrunk_s.tobytes() == shrunk.tobytes()
             assert len(queued) == 1 and np.all(np.isnan(o))
             queued[0]()

@@ -314,7 +314,9 @@ def _shrink_mode(z, k, rule, sigma_prev):
 
 
 def _two_product_shrinkage(z, rule, sigma_prev):
-    """The Gram-matrix kernel with its output always as (U_r D) (U_r^T A)."""
+    """The Gram-matrix kernel with its output as two products, (U_r D)
+    (U_r^T A): the other association of the kernel's one product (U_r D
+    U_r^T) A, which rounds differently at every rank."""
     a = z.T if z.shape[0] > z.shape[1] else z
     w, u = np.linalg.eigh(a @ a.T)
     sigma = np.sqrt(np.maximum(w[::-1], 0.0))
@@ -328,7 +330,7 @@ def _two_product_shrinkage(z, rule, sigma_prev):
 def _unfolded_two_product_mode(z, k, rule, sigma_prev):
     """The mode-k update with every mode on its unfolding and the output
     as two products, the arithmetic before modes 0 and 2 took C-order
-    views and full-rank outputs became (U_r D U_r^T) A."""
+    views and every output became (U_r D U_r^T) A."""
     mat, sig = _two_product_shrinkage(unfold(z, k), rule, sigma_prev)
     return fold(mat, k, z.shape), sig
 
@@ -484,8 +486,8 @@ REFERENCE_INSTANCES = [(19, (9, 8, 7), 1e-2), (19, (20, 3, 2), 1e-2),
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("seed, dims, lam", REFERENCE_INSTANCES)
 def test_complete_agrees_with_the_unfolded_two_product_loop(method, seed, dims, lam):
-    """The C-order views of modes 0 and 2, the one-product output at full
-    rank and the robust step as one clip change rounding only: over 25
+    """The C-order views of modes 0 and 2, the one-product output and the
+    robust step as one clip change rounding only: over 25
     iterations ``complete`` stays within 1e-9 * max|X| of the loop that
     unfolds every mode, always forms the output as two products and runs
     the robust step as soft threshold and multiplier update."""
