@@ -124,35 +124,40 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None, submit=None):
     singular values max(sigma_i - threshold_i, 0), still descending for
     both rules.
 
-    With A the input or its transpose, whichever is wide, the kernel takes
-    ``w, U = eigh(A A^T)`` and sigma = sqrt(max(w, 0)), so U holds the left
-    singular vectors and V^T is never formed.  The output is the one
-    product ``(U_r diag(shrunk_r / sigma_r) U_r^T) A`` over the components
-    r whose shrunk value is nonzero; no other component is divided by.  A
-    is first scaled by 2**-e, with e the exponent that puts the peak
-    max|A| in [1, 2), so that the largest entry of A A^T lies in [1, 4 n]
-    for n columns and neither overflows nor underflows.  The product is
-    formed from the scaled A too, and the small factor ``U_r diag(shrunk_r
-    / sigma_r)``, whose entries are at most 1, is scaled by 2**e, at most
-    2**1023, before it meets U_r^T, so the output comes out in the scale
-    of the input.  Scaling by a power of two is exact and commutes with
-    every rounding in the products, unless an entry or product is
-    subnormal.  Squaring A squares its condition number: singular values
-    below about sqrt(machine epsilon) * sigma_max carry an absolute error
-    of that order (an exact zero can come out as large as about 1e-8 *
-    sigma_max), and so does shrunk_sigma.  The output matrix is built from
-    A rather than from sigma, and against the exact SVD it agreed to
-    1e-14 * sigma_max on wide, tall and rank-deficient inputs.
+    With A the input, the kernel takes ``w, U = eigh(G)`` with G the Gram
+    matrix of A's smaller side: ``A A^T`` for a wide or square A, whose
+    left singular vectors U then holds, and ``A^T A`` for a tall A, whose
+    right singular vectors it holds; the other singular vectors are never
+    formed.  sigma = sqrt(max(w, 0)).  The output is the one product ``(U_r
+    diag(shrunk_r / sigma_r) U_r^T) A``, or ``A (U_r diag(shrunk_r /
+    sigma_r) U_r^T)^T`` for a tall A, over the components r whose shrunk
+    value is nonzero; no other component is divided by.  A is first scaled
+    by 2**-e, with e the exponent that puts the peak max|A| in [1, 2), so
+    that the largest entry of the Gram matrix lies in [1, 4 m] for m
+    entries along the longer side and neither overflows nor underflows.
+    The product is formed from the scaled A too, and the small factor ``U_r
+    diag(shrunk_r / sigma_r)``, whose entries are at most 1, is scaled by
+    2**e, at most 2**1023, before it meets U_r^T, so the output comes out
+    in the scale of the input.  Scaling by a power of two is exact and
+    commutes with every rounding in the products, unless an entry or
+    product is subnormal.  Squaring A squares its condition number:
+    singular values below about sqrt(machine epsilon) * sigma_max carry an
+    absolute error of that order (an exact zero can come out as large as
+    about 1e-8 * sigma_max), and so does shrunk_sigma.  The output matrix
+    is built from A rather than from sigma, and against the exact SVD it
+    agreed to 1e-14 * sigma_max on wide, tall and rank-deficient inputs.
 
     ``work`` is a pair of flat float64 arrays of at least ``z.size``
-    entries each; without it the kernel allocates the pair itself.  The
-    output product reads the scaled A from the second and writes the
-    output only to the first, laid out as A is; the returned matrix is a
-    view of it, so a C-ordered ``z`` gives a C-ordered output whether or
-    not it is transposed.  ``z`` either shares no memory with ``work`` or
-    is ``work[1][:z.size]`` reshaped to its shape in C or Fortran order;
-    then A is scaled in place, which is how ``solvers.complete`` runs a
-    mode update in two buffers.
+    entries each; without it the kernel allocates the pair itself.  Its
+    matrices are the C-order views ``work[k][:z.size].reshape(z.shape)``:
+    the scaled A in the second, which the output product reads, and the
+    output in the first, which only the product writes.  The returned
+    matrix is that view of the first buffer, so the output is C-ordered
+    whatever the layout of ``z``, and it is bit for bit the output of the
+    C-order copy of ``z``.  ``z`` either shares no memory with ``work`` or
+    is a view of ``work[1]``; when it is the C view above, A is scaled in
+    place, which is how ``solvers.complete`` runs a mode update in two
+    buffers.
 
     ``submit``, if given, is called with the output product, a function of
     no arguments that runs its one ``np.matmul``, instead of the kernel
@@ -168,19 +173,14 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None, submit=None):
     if work is None:
         work = (np.empty(a.size), np.empty(a.size))
     tall = a.shape[0] > a.shape[1]
-    if tall:
-        a = a.T
     # max|a| without a full-size |a| temporary; NaN propagates through both
     peak = np.maximum(a.max(), -a.min())
     if not np.isfinite(peak):
         raise NumericError("shrinkage input contains non-finite values")
     exponent = int(np.frexp(peak)[1]) - 1
-    # matrices in the buffers take a's layout, which np.ldexp would give it;
-    # when z is this view of work[1], the scaling runs in place
-    order = "F" if a.flags.f_contiguous else "C"
-    a = np.ldexp(a, -exponent, out=work[1][: a.size].reshape(a.shape, order=order))
+    a = np.ldexp(a, -exponent, out=work[1][: a.size].reshape(a.shape))
     try:
-        w, u = np.linalg.eigh(a @ a.T)
+        w, u = np.linalg.eigh(a.T @ a if tall else a @ a.T)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
     sigma = np.ldexp(np.sqrt(np.maximum(w[::-1], 0.0)), exponent)
@@ -190,13 +190,14 @@ def apply_shrinkage(z, rule, sigma_prev=None, work=None, submit=None):
     u = u[:, ::-1][:, keep]
     # 2**e on the left factor undoes the scaling of a
     left = np.ldexp(u * (shrunk[keep] / sigma[keep]), exponent) @ u.T
-    mat = work[0][: a.size].reshape(a.shape, order=order)
-    product = functools.partial(np.matmul, left, a, out=mat)
+    mat = work[0][: a.size].reshape(a.shape)
+    operands = (a, left.T) if tall else (left, a)
+    product = functools.partial(np.matmul, *operands, out=mat)
     if submit is None:
         product()
     else:
         submit(product)
-    return (mat.T if tall else mat), shrunk
+    return mat, shrunk
 
 
 def soft_threshold(h, kappa):

@@ -10,11 +10,12 @@ parameter rho and the three modes weighted equally, by :data:`WEIGHT`:
    method to its rule: the log rule (``tcpfnc``, ``rtcpfnc``), the nuclear
    norm (``halrtc``) or the truncated nuclear norm (``tnn``).  Each shrink
    works from the eigendecomposition of the Gram matrix of the unfolding's
-   smaller side (:func:`prox.apply_shrinkage`), not a full SVD.  Modes 0 and
-   2 shrink the C-order matrices ``z.reshape(n1, -1)`` and ``z.reshape(-1,
-   n3)`` instead of their unfoldings: these are the mode-0 unfolding and the
-   transpose of the mode-2 one up to a permutation of their columns, which
-   leaves the shrinkage unchanged.
+   smaller side (:func:`prox.apply_shrinkage`), not a full SVD.  Every mode
+   shrinks a C-order matrix: mode 0 ``z.reshape(n1, -1)``, its unfolding up
+   to a permutation of the columns, and modes 1 and 2 the transposes of
+   their unfoldings, ``(n1*n3, n2)`` and ``(n1*n2, n3)``, mode 2's up to a
+   permutation of the rows.  A permutation or a transpose leaves the
+   shrinkage unchanged.
 2. ``M <- mean_k(L_k) + mean_k(U_k)/rho``, then observed entries are reset
    to the data: ``P_omega(M) = P_omega(Y)`` holds after every iteration.
 3. ``T_k <- T_k + rho (L_k - M)``, and for the robust method, with ``v =
@@ -50,12 +51,13 @@ the hook, so each slot is free until the mode that writes it.
 The modes do not depend on each other within an iteration, so the loop
 runs them in the order 1, 0, 2, which changes no bit.  Each mode builds
 ``z`` in blocks, in C order, and the kernel always leaves its output in
-its first buffer, laid out as its input (:func:`prox.apply_shrinkage`):
+its first buffer, in C order (:func:`prox.apply_shrinkage`):
 
-* mode 1 builds ``z`` in ``A`` and copies it into its Fortran-order
-  unfolding in ``L_1``'s slot, while mode 0 builds its ``z`` in ``L_2``'s
-  slot; mode 1 shrinks its unfolding with ``A`` as the first buffer, and
-  one copy moves the output into ``L_1``;
+* mode 1 builds ``z`` in ``A`` and copies it into the transpose of its
+  unfolding, the C-order ``(n1*n3, n2)`` view of ``L_1``'s slot, while
+  mode 0 builds its ``z`` in ``L_2``'s slot; mode 1 shrinks that view
+  with ``A`` as the first buffer, and one copy moves the output into
+  ``L_1``;
 * mode 0 shrinks a C-order view of ``L_2``'s slot with ``L_0``'s slot as
   the first buffer;
 * mode 2 builds ``z`` in ``A`` once mode 1's output is in ``L_1``, and
@@ -108,15 +110,15 @@ The arithmetic and its order are those of a loop that allocates a fresh
 array for every intermediate (``z = M - U_k/rho``, the sums ``(X_0 +
 X_1) + X_2``, the constraint as the two products and the sum of
 :func:`tensor.apply_constraint`), every reduction (the rule penalties,
-``sum |E_k|``) runs over the whole array, the kernel sees the operand
-layouts of that loop (C-order views of ``z`` for modes 0 and 2 and the
-unfolding for mode 1), and the scaling by 2**-e and back is exact
-short of subnormal values, so seeded solves are bit-identical to it;
-``tests/test_solvers.py`` keeps it as the reference.  The one difference
-is the sign of an exact zero: the constraint adds ``M * observed`` where
-that loop adds ``Y * mask``, and the two can differ in the sign of a zero
-term, so an entry that is exactly 0 can come out as -0 in one and +0 in
-the other.
+``sum |E_k|``) runs over the whole array, the kernel sees the operands
+of that loop (C-order views of ``z`` for modes 0 and 2 and the transpose
+of the unfolding, C-ordered too, for mode 1), and the scaling by 2**-e
+and back is exact short of subnormal values, so seeded solves are
+bit-identical to it; ``tests/test_solvers.py`` keeps it as the
+reference.  The one difference is the sign of an exact zero: the
+constraint adds ``M * observed`` where that loop adds ``Y * mask``, and
+the two can differ in the sign of a zero term, so an entry that is
+exactly 0 can come out as -0 in one and +0 in the other.
 """
 
 import contextlib
@@ -158,7 +160,13 @@ BLOCK = 16384
 # cores, halrtc with the helper against without it took +47% per iteration
 # at 30x24x14, +6% at 64x48x44, 0% at 72x56x40, -6% at 80x64x40, -15% at
 # 96x72x48 and -13% at 120x96x60: below about 160000 entries the hand-offs
-# cost more than the products save.
+# cost more than the products save.  On one allowed CPU the helper has no
+# core of its own: forced on against off (one BLAS thread, alternating
+# in-process rounds, median time per iteration, two runs) it cost +4.6% and
+# +1.5% for halrtc and +2.6% and +3.4% for tcpfnc at 72x64x60 (faster in 9,
+# 7, 8 and 3 of 30 rounds), and +2.2% and -2.6% for halrtc at 120x96x60
+# (faster in 2 and 6 of 12).  It gains nothing there, so use_helper also
+# requires two CPUs.
 PIPELINE_MIN = 1 << 18
 
 
@@ -336,17 +344,16 @@ def complete(y, mask, cfg, iter_hook=None):
 
     blocks = [block_views(i) for i in starts]
     # the kernel's input and buffer pair of each mode, and mode 1's copies
-    # of z from A into its unfolding and of its output back into L_1,
-    # through fold views made once (see the module docstring)
+    # of z from A into the transpose of its unfolding and of its output
+    # back into L_1, through fold views made once (see the module docstring)
     slot0, slot1, slot2 = (x.reshape(-1) for x in lk)
-    inputs = [slot2.reshape(dims[0], -1),
-              slot1.reshape((dims[1], size // dims[1]), order="F"),
+    inputs = [slot2.reshape(dims[0], -1), slot1.reshape(-1, dims[1]),
               a.reshape(-1, dims[2])]
     works = [(slot0, slot2), (a, slot1), (slot2, a)]
-    copy_in = functools.partial(np.copyto, fold(inputs[1], 1, dims),
+    copy_in = functools.partial(np.copyto, fold(inputs[1].T, 1, dims),
                                 a.reshape(dims))
-    copy_back = functools.partial(np.copyto, lk[1], fold(
-        a.reshape((dims[1], size // dims[1]), order="F"), 1, dims))
+    copy_back = functools.partial(np.copyto, lk[1],
+                                  fold(a.reshape(-1, dims[1]).T, 1, dims))
 
     def elementwise_steps(p, mb, hb, ob, t, lb, tb, ub):
         """Consensus, constraint and multiplier steps on one block, with the

@@ -67,6 +67,12 @@ def test_synth_malformed_dims_is_usage_error(tmp_path):
     assert run("synth", "--dims", "4,4", "--rank", "1", "-o", tmp_path / "x.tns") == 2
 
 
+def test_synth_non_integer_dims_is_usage_error(tmp_path, capsys):
+    assert run("synth", "--dims", "3,x,4", "--rank", "1", "-o", tmp_path / "x.tns") == 2
+    assert "dims must be integers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mask_reports_missing_fraction(tmp_path, capsys):
     out = tmp_path / "m.msk"
     assert run("mask", "--dims", "10,10,10", "--pattern", "rm", "--rate", "0.4",
@@ -593,6 +599,19 @@ def test_rerun_unknown_config_key_is_input_error(tmp_path, capsys):
 
     assert _rerun_edited(tmp_path, edit) == 3
     assert "unknown config keys momentum" in capsys.readouterr().err
+
+
+def test_rerun_of_a_deleted_input_is_input_error(tmp_path, capsys):
+    man = _recorded_run(tmp_path)
+    gone = tmp_path / "yc.tns"
+    gone.unlink()
+    assert run("rerun", "--manifest", man, "--workdir", tmp_path / "replay") == 3
+    assert f"cannot read {gone}" in capsys.readouterr().err
+
+
+def test_rerun_of_another_manifest_version_is_input_error(tmp_path, capsys):
+    assert _rerun_edited(tmp_path, _set(None, "manifest_version", 2)) == 3
+    assert "unsupported version" in capsys.readouterr().err
 
 
 def test_rerun_manifest_without_inputs_is_input_error(tmp_path, capsys):

@@ -131,6 +131,16 @@ def test_anomaly_score_empty_corruption_set():
     assert f1 == 0.0
 
 
+def test_anomaly_score_predictions_without_hits():
+    """Predicted entries that are all outside omega_c give precision and
+    recall 0, and F1 0 without dividing by zero."""
+    omega_c = np.zeros((2, 2, 2))
+    omega_c[0, 0, 0] = 1.0
+    e_hat = np.zeros((2, 2, 2))
+    e_hat[1, 1, 1] = 3.0
+    assert anomaly_score(e_hat, omega_c, 1.0) == (0.0, 0.0, 0.0)
+
+
 def test_anomaly_score_threshold_strictness():
     """Entries exactly at the threshold are not flagged."""
     omega_c = np.zeros((1, 1, 2))

@@ -352,6 +352,11 @@ def test_log_rule_rejects_a_negative_or_nan_prior_spectrum(sigma_prev):
         apply_shrinkage(np.diag([3.0, 2.0, 1.0]), LogRule(1.0), sigma_prev)
 
 
+def test_log_rule_rejects_a_prior_spectrum_of_another_length():
+    with pytest.raises(UsageError, match="length 3 does not match spectrum size 4"):
+        apply_shrinkage(np.ones((4, 6)), LogRule(1.0), sigma_prev=np.ones(3))
+
+
 def test_zero_tau_log_rule_thresholds_nothing():
     """A zero tau gives zero thresholds, so the kernel keeps the spectrum."""
     rule = LogRule(0.0)
@@ -402,10 +407,11 @@ def _workspace_input(shape, order, deficient, scale=1.0):
 def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
     """A caller's workspace, larger than needed and holding stale values,
     changes no bit of the output: with or without it the kernel runs the
-    same code, and the output is a view of the first workspace buffer, laid
-    out as the input is, at full and low rank.  The product writes only the
-    first buffer, so the second still holds the scaled input after it.
-    Each case runs both rules on a full-rank and a rank-deficient input."""
+    same code, and the output is a C-ordered view of the first workspace
+    buffer, whatever the input's order, at full and low rank.  The product
+    writes only the first buffer, so the second still holds the scaled
+    input, in C order, after it.  Each case runs both rules on a full-rank
+    and a rank-deficient input."""
     for deficient in (False, True):
         for rank in RANKS:
             z = _workspace_input(shape, order, deficient)
@@ -417,13 +423,12 @@ def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
             assert 0 < np.count_nonzero(shrunk)
             np.testing.assert_array_equal(out_w, out)
             np.testing.assert_array_equal(shrunk_w, shrunk)
-            assert out_w.flags.c_contiguous == (order == "C")
-            assert out_w.flags.f_contiguous == (order == "F")
+            assert out_w.flags.c_contiguous
             assert np.shares_memory(out_w, work[0])
             assert not np.shares_memory(out_w, z)
-            # z scaled to a peak in [1, 2), laid out as z is
+            # z scaled to a peak in [1, 2), in C order
             scaled = np.ldexp(z, 1 - int(np.frexp(np.max(np.abs(z)))[1]))
-            held = work[1][: z.size].reshape(shape, order=order)
+            held = work[1][: z.size].reshape(shape)
             assert held.tobytes() == scaled.tobytes()
 
 
@@ -432,9 +437,11 @@ def test_apply_shrinkage_workspace_gives_the_same_bits(shape, order):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_in_place_kernel_gives_the_bytes_of_the_public_path(shape, order, peak):
     """The two-buffer path of the solver loop: with z a view of work[1],
-    the kernel scales it in place and the output, in the scale of z, is
-    formed in work[0], at full and low rank.  Each case runs both rules on
-    a full-rank and a rank-deficient input."""
+    the output, in the scale of z, is formed in work[0] with the bytes of
+    the public path, at full and low rank.  The kernel scales z in place
+    when it is the C view of work[1], as the loop's inputs are; a Fortran
+    view shares the memory but not the layout.  Each case runs both rules
+    on a full-rank and a rank-deficient input."""
     for deficient in (False, True):
         for rank in RANKS:
             z = _workspace_input(shape, order, deficient, peak)

@@ -213,6 +213,11 @@ def test_empty_mask_rejected():
         complete(y, np.zeros((3, 3, 3)), SolverConfig("tcpfnc"))
 
 
+def test_two_dimensional_mask_rejected():
+    with pytest.raises(InputError, match="mask must be 3-D"):
+        complete(np.ones((3, 3, 3)), np.ones((3, 9)), SolverConfig("tcpfnc"))
+
+
 def test_config_validation():
     with pytest.raises(UsageError):
         SolverConfig("nosuch")
@@ -304,10 +309,11 @@ def test_ranks_are_the_last_shrunk_spectra(monkeypatch, method):
 def _shrink_mode(z, k, rule, sigma_prev):
     """The mode-k update of ``complete``: modes 0 and 2 shrink C-order views
     of z, which are their unfoldings (mode 2's transposed) up to a
-    permutation of the columns, and mode 1 its unfolding."""
+    permutation of the columns, and mode 1 the transpose of its unfolding,
+    which is C-ordered as the loop's input is."""
     if k == 1:
-        mat, sig = apply_shrinkage(unfold(z, 1), rule, sigma_prev)
-        return fold(mat, 1, z.shape), sig
+        mat, sig = apply_shrinkage(unfold(z, 1).T, rule, sigma_prev)
+        return fold(mat.T, 1, z.shape), sig
     view = z.reshape(z.shape[0], -1) if k == 0 else z.reshape(-1, z.shape[2])
     mat, sig = apply_shrinkage(view, rule, sigma_prev)
     return mat.reshape(z.shape), sig
@@ -430,6 +436,8 @@ def _assert_matches_reference(y, mask, cfg, iter_hook=None):
     result = complete(y * mask, mask, cfg, iter_hook)
     recovered, anomaly, iters, converged, history = _reference_run(
         y * mask, mask, cfg)
+    # all zeros on both sides would compare no shrinkage at all
+    assert np.any(recovered)
     np.testing.assert_array_equal(result.recovered, recovered)
     if anomaly is None:
         assert result.anomaly is None
@@ -446,12 +454,18 @@ def _assert_matches_reference(y, mask, cfg, iter_hook=None):
     *(pytest.param(method, 1e-2, id=method) for method in METHODS),
     pytest.param("rtcpfnc", 1e-3, id="rtcpfnc-lam1e-3"),
 ])
-# the unfoldings 20x6 of mode 0 and of mode 1 are tall, and so are the
-# C-order views of mode 2 but for 2x3x20, where it is 6x20
-@pytest.mark.parametrize("dims", [(9, 8, 7), (20, 3, 2), (3, 20, 2), (2, 3, 20)])
-def test_in_place_loop_is_bit_identical_to_reference(method, lam, dims):
+# the kernel's input is tall in mode 0 only at 20x3x2 (20x6), and wide in
+# mode 1 only at 3x20x2 and in mode 2 only at 2x3x20 (6x20 each), so every
+# mode takes both paths; at rho = 1e-3 halrtc zeroes every singular value
+# of 20x3x2 and 2x3x20
+@pytest.mark.parametrize("dims, rho", [
+    pytest.param(dims, rho, id=f"dims{i}") for i, (dims, rho) in enumerate([
+        ((9, 8, 7), 1e-3), ((20, 3, 2), 2e-3), ((3, 20, 2), 1e-3),
+        ((2, 3, 20), 2e-3)])
+])
+def test_in_place_loop_is_bit_identical_to_reference(method, lam, dims, rho):
     y, mask = _outlier_instance(19, dims)
-    cfg = SolverConfig(method, rho=1e-3, lam=lam, truncation_rate=0.3,
+    cfg = SolverConfig(method, rho=rho, lam=lam, truncation_rate=0.3,
                        tol=1e-30, max_iters=25)
     clipped = set()
 
@@ -478,21 +492,26 @@ def test_robust_solve_that_never_clips_is_the_plain_solve(rho):
     assert robust.anomaly.tobytes() == np.zeros(y.shape).tobytes()
 
 
-# The instances of the reference-loop tests, with their sparsity weights.
-REFERENCE_INSTANCES = [(19, (9, 8, 7), 1e-2), (19, (20, 3, 2), 1e-2),
-                       (24, (40, 30, 20), 1e-4)]
+# The instances of the reference-loop tests, with their sparsity weights
+# and penalties: at rho = 1e-3 halrtc zeroes every singular value of
+# 20x3x2.  Their ids name the seed, the dims and lam.
+REFERENCE_INSTANCES = [(19, (9, 8, 7), 1e-2, 1e-3), (19, (20, 3, 2), 1e-2, 2e-3),
+                       (24, (40, 30, 20), 1e-4, 1e-3)]
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("seed, dims, lam", REFERENCE_INSTANCES)
-def test_complete_agrees_with_the_unfolded_two_product_loop(method, seed, dims, lam):
+@pytest.mark.parametrize("seed, dims, lam, rho", [
+    pytest.param(*inst, id=f"{inst[0]}-dims{i}-{inst[2]}")
+    for i, inst in enumerate(REFERENCE_INSTANCES)
+])
+def test_complete_agrees_with_the_unfolded_two_product_loop(method, seed, dims, lam, rho):
     """The C-order views of modes 0 and 2, the one-product output and the
     robust step as one clip change rounding only: over 25
     iterations ``complete`` stays within 1e-9 * max|X| of the loop that
     unfolds every mode, always forms the output as two products and runs
     the robust step as soft threshold and multiplier update."""
     y, mask = _outlier_instance(seed, dims)
-    cfg = SolverConfig(method, rho=1e-3, lam=lam, truncation_rate=0.3,
+    cfg = SolverConfig(method, rho=rho, lam=lam, truncation_rate=0.3,
                        tol=1e-30, max_iters=25)
     result = complete(y * mask, mask, cfg)
     recovered, anomaly, *_ = _reference_run(y * mask, mask, cfg,
@@ -502,6 +521,8 @@ def test_complete_agrees_with_the_unfolded_two_product_loop(method, seed, dims, 
     if method == "rtcpfnc":
         pairs.append((result.anomaly, anomaly))
     for got, want in pairs:
+        # against all zeros the bound would read 0 <= 0
+        assert np.any(want)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 

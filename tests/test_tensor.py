@@ -98,6 +98,11 @@ def test_unfold_rejects_bad_mode():
         unfold(x, -1)
 
 
+def test_fold_rejects_bad_mode():
+    with pytest.raises(InputError, match="mode must be 0, 1, or 2"):
+        fold(np.zeros((2, 4)), 3, (2, 2, 2))
+
+
 def test_check_tensor_rejects_wrong_ndim():
     with pytest.raises(InputError):
         check_tensor(np.zeros((2, 2)), "x")
