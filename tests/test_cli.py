@@ -26,6 +26,17 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def test_module_run_with_help_exits_0():
+    """``python -m tensorfill.cli`` runs ``main`` and exits with its code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "tensorfill.cli", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ")
+
+
 def test_synth_file_size_and_content(tmp_path):
     out = tmp_path / "t.tns"
     assert run("synth", "--dims", "12,24,7", "--rank", "3", "--seed", "42", "-o", out) == 0

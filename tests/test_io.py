@@ -15,6 +15,7 @@ from tensorfill.errors import InputError, UsageError
 from tensorfill.io import (
     MASK_MAGIC,
     TENSOR_MAGIC,
+    atomic_write_bytes,
     ingest_csv,
     read_mask,
     read_tensor,
@@ -175,6 +176,17 @@ def test_failed_write_leaves_target_and_directory_clean(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["t.tns"]
 
 
+def test_write_onto_a_directory_is_input_error_and_leaves_no_temp(tmp_path):
+    """The rename onto a directory fails after the temp file is written;
+    the write raises InputError and removes its temp file."""
+    target = tmp_path / "d"
+    target.mkdir()
+    with pytest.raises(InputError, match=f"^cannot write {target}: "):
+        atomic_write_bytes(target, b"payload")
+    assert os.listdir(tmp_path) == ["d"]
+    assert os.listdir(target) == []
+
+
 WRITE_UNDER_UMASK = """
     import os
     import numpy as np
@@ -246,6 +258,11 @@ def test_ingest_skips_a_utf8_byte_order_mark(tmp_path):
     tensor, mask = ingest_csv(path, (2, 1, 2))
     np.testing.assert_array_equal(tensor[:, 0, :], [[1.0, 2.0], [3.0, 4.0]])
     assert mask.all()
+
+
+def test_ingest_of_a_directory_is_input_error(tmp_path):
+    with pytest.raises(InputError, match=f"^cannot read {tmp_path}: "):
+        ingest_csv(tmp_path, (1, 1, 1))
 
 
 def test_ingest_rejects_wrong_column_count(tmp_path):

@@ -211,6 +211,15 @@ def test_svd_reconstructs_and_rejects_non_finite():
         svd(bad)
 
 
+def test_svd_non_convergence_is_numeric_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericError, match="^SVD did not converge: no convergence$"):
+        svd(np.ones((3, 4)))
+
+
 def test_rules_reject_invalid_parameters():
     for make in (
         lambda: LogRule(-1.0),

@@ -19,7 +19,7 @@ from tensorfill.solvers import (
     METHODS,
     WEIGHT,
     SolverConfig,
-    check_convergence,
+    _converged,
     complete,
     default_lambda,
 )
@@ -269,9 +269,25 @@ def test_default_lambda_formula():
 
 
 def test_check_convergence_relative_change():
-    assert not check_convergence([1.0], 1e-6)
-    assert check_convergence([1.0, 1.0 + 1e-9], 1e-6)
-    assert not check_convergence([1.0, 1.1], 1e-6)
+    assert not _converged([1.0], 1e-6)
+    assert _converged([1.0, 1.0 + 1e-9], 1e-6)
+    assert not _converged([1.0, 1.1], 1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="the stop rule reads two zero "
+                   "objectives as converged whatever tol is (ROADMAP item 3)")
+def test_tnn_with_zeroed_tails_runs_to_its_cap():
+    """Once tnn zeroes every mode's tail its penalty is exactly 0, while
+    the exempt components still move.  No relative change of the objective
+    is below 1e-300 there, so the solve should run to its cap; today it
+    stops at iteration 9 on the criterion-4 desk instance of seed 0."""
+    dims = (30, 24, 14)
+    clean = synthesize(SyntheticSpec(dims, 3, 0.0, 0))
+    y = synthesize(SyntheticSpec(dims, 3, 0.01 * clean.mean(), 0))
+    mask = rm_mask(dims, 0.4, 1000)
+    result = complete(y * mask, mask, SolverConfig(
+        "tnn", rho=7e-4, tol=1e-300, max_iters=40, truncation_rate=0.3))
+    assert result.iterations == 40
 
 
 def test_max_iters_cap_reported_as_not_converged():
@@ -319,25 +335,10 @@ def _shrink_mode(z, k, rule, sigma_prev):
     return mat.reshape(z.shape), sig
 
 
-def _two_product_shrinkage(z, rule, sigma_prev):
-    """The Gram-matrix kernel with its output as two products, (U_r D)
-    (U_r^T A): the other association of the kernel's one product (U_r D
-    U_r^T) A, which rounds differently at every rank."""
-    a = z.T if z.shape[0] > z.shape[1] else z
-    w, u = np.linalg.eigh(a @ a.T)
-    sigma = np.sqrt(np.maximum(w[::-1], 0.0))
-    shrunk = np.maximum(sigma - rule.thresholds(sigma, sigma_prev), 0.0)
-    keep = shrunk > 0.0
-    u = u[:, ::-1][:, keep]
-    out = (u * (shrunk[keep] / sigma[keep])) @ (u.T @ a)
-    return (out if a is z else out.T), shrunk
-
-
-def _unfolded_two_product_mode(z, k, rule, sigma_prev):
-    """The mode-k update with every mode on its unfolding and the output
-    as two products, the arithmetic before modes 0 and 2 took C-order
-    views and every output became (U_r D U_r^T) A."""
-    mat, sig = _two_product_shrinkage(unfold(z, k), rule, sigma_prev)
+def _unfolded_mode(z, k, rule, sigma_prev):
+    """The mode-k update with the kernel on the mode-k unfolding itself, a
+    Fortran-order matrix, where ``complete`` hands it C-order views."""
+    mat, sig = apply_shrinkage(unfold(z, k), rule, sigma_prev)
     return fold(mat, k, z.shape), sig
 
 
@@ -415,7 +416,7 @@ def _reference_run(y, mask, cfg, shrink_mode=_shrink_mode,
         if robust:
             obj += lam * sum(float(np.sum(np.abs(e))) for e in ek)
         history.append(obj)
-        if check_convergence(history, cfg.tol):
+        if _converged(history, cfg.tol):
             converged = True
             break
     anomaly = (ek[0] + ek[1] + ek[2]) / 3.0 if robust else None
@@ -504,18 +505,25 @@ REFERENCE_INSTANCES = [(19, (9, 8, 7), 1e-2, 1e-3), (19, (20, 3, 2), 1e-2, 2e-3)
     pytest.param(*inst, id=f"{inst[0]}-dims{i}-{inst[2]}")
     for i, inst in enumerate(REFERENCE_INSTANCES)
 ])
-def test_complete_agrees_with_the_unfolded_two_product_loop(method, seed, dims, lam, rho):
-    """The C-order views of modes 0 and 2, the one-product output and the
-    robust step as one clip change rounding only: over 25
-    iterations ``complete`` stays within 1e-9 * max|X| of the loop that
-    unfolds every mode, always forms the output as two products and runs
-    the robust step as soft threshold and multiplier update."""
+def test_complete_agrees_with_the_unfolded_loop(method, seed, dims, lam, rho):
+    """The C-order views, the workspace, the mode order 1, 0, 2 and the
+    robust step as one clip change rounding only: over 25 iterations
+    ``complete`` stays within 1e-9 * max|X| of the loop that hands the
+    kernel each mode's unfolding, runs the modes in the order 0, 1, 2 and
+    runs the robust step as soft threshold and multiplier update.
+
+    The tnn case at 40x30x20 agrees least, to a few 1e-10: its spectra
+    pass close to ties during the 25 iterations, where rounding decides
+    which side a value falls on.  In mode 0 the gap between sigma_r and
+    sigma_{r+1} at the exemption boundary falls to 7.6e-4 of sigma_r, and
+    in mode 2 one tail value comes within 5.5e-4 * tau of the threshold
+    tau.  Every other case agrees to a few 1e-12."""
     y, mask = _outlier_instance(seed, dims)
     cfg = SolverConfig(method, rho=rho, lam=lam, truncation_rate=0.3,
                        tol=1e-30, max_iters=25)
     result = complete(y * mask, mask, cfg)
     recovered, anomaly, *_ = _reference_run(y * mask, mask, cfg,
-                                            _unfolded_two_product_mode,
+                                            _unfolded_mode,
                                             _soft_threshold_step)
     pairs = [(result.recovered, recovered)]
     if method == "rtcpfnc":
